@@ -24,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..clock import SimTime, EVENTSTREAM_START, WNRT_START
+from ..errors import UrlError
 from ..net.fetch import Fetcher
 from ..rng import Stream
 from ..textsim.shingles import minhash_sketch
+from ..urls.parse import ParsedUrl, QueryArgs, parse_url
+from ..web import robots
 from .snapshot import Snapshot
 from .store import SnapshotStore
 
@@ -47,9 +50,6 @@ class CrawlPolicy:
 
     def crawlable(self, url: str) -> bool:
         """Whether the frontier accepts ``url``."""
-        from ..errors import UrlError
-        from ..urls.parse import QueryArgs, parse_url
-
         try:
             parsed = parse_url(url)
         except UrlError:
@@ -59,14 +59,48 @@ class CrawlPolicy:
         return len(QueryArgs.parse(parsed.query)) <= self.max_query_params
 
 
+class DeferredSketch:
+    """One body stem's MinHash sketch, computed on first read.
+
+    :meth:`BodySketcher.deferred` makes one cell per distinct stem and
+    hands the same cell to every snapshot of that stem, so the sketch
+    is computed at most once however many snapshots share it. Reading
+    :attr:`value` goes through :meth:`BodySketcher.sketch`.
+    """
+
+    __slots__ = ("_sketcher", "stem", "_value")
+
+    def __init__(self, sketcher: "BodySketcher", stem: str) -> None:
+        self._sketcher = sketcher
+        self.stem = stem
+        self._value: tuple[int, ...] | None = None
+
+    @property
+    def value(self) -> tuple[int, ...]:
+        """The sketch (computed now if this is the first read)."""
+        value = self._value
+        if value is None:
+            # ``stem + " "`` is a body whose stem is ``stem``.
+            value = self._sketcher.sketch(self.stem + " ")
+        return value
+
+
 class BodySketcher:
     """MinHash sketching with a core-body cache.
 
     Bodies in the simulated web are a stable core plus one trailing
-    per-request noise token; sketching the body minus its final token
-    and caching on that stem makes repeated captures of the same page
-    O(1) after the first. The lost token perturbs the true sketch
-    negligibly (4 shingles out of hundreds).
+    per-request noise token; the sketch is taken of the body minus its
+    final token (its *stem*), once per distinct stem. The lost token
+    perturbs the true sketch negligibly (4 shingles out of hundreds).
+
+    Captures do not sketch: :meth:`deferred` returns the stem's shared
+    :class:`DeferredSketch` cell in O(1), and the MinHash runs on the
+    first read of any snapshot holding it — most stems are never read
+    (only the soft-404 twin scan reads sketches). :meth:`sketch` is
+    the eager form.
+
+    ``misses`` counts MinHash computations, which happen at most once
+    per distinct stem whichever path asks first.
 
     Sketching runs on whichever numeric backend
     :mod:`repro.numerics` selected — the numpy kernels when the
@@ -76,18 +110,24 @@ class BodySketcher:
     """
 
     def __init__(self) -> None:
-        self._cache: dict[str, tuple[int, ...]] = {}
+        self._cells: dict[str, DeferredSketch] = {}
         self.misses = 0
 
-    def sketch(self, body: str) -> tuple[int, ...]:
-        """MinHash sketch of ``body`` (cached on its stable stem)."""
+    def deferred(self, body: str) -> DeferredSketch:
+        """The shared, possibly not yet computed sketch of ``body``'s stem."""
         stem = body.rsplit(" ", 1)[0] if " " in body else body
-        cached = self._cache.get(stem)
-        if cached is None:
+        cell = self._cells.get(stem)
+        if cell is None:
+            cell = self._cells[stem] = DeferredSketch(self, stem)
+        return cell
+
+    def sketch(self, body: str) -> tuple[int, ...]:
+        """MinHash sketch of ``body`` (computed once per stem)."""
+        cell = self.deferred(body)
+        if cell._value is None:
             self.misses += 1
-            cached = minhash_sketch(stem)
-            self._cache[stem] = cached
-        return cached
+            cell._value = minhash_sketch(cell.stem)
+        return cell._value
 
 
 #: How long a fetched robots.txt stays cached before re-checking.
@@ -113,7 +153,7 @@ class ArchiveCrawler:
         self._store = store
         self._sketcher = BodySketcher()
         self._honor_robots = honor_robots
-        self._robots_cache: dict[str, tuple[float, "RobotsRules"]] = {}
+        self._robots_cache: dict[str, tuple[float, robots.RobotsRules]] = {}
         self.capture_attempts = 0
         self.capture_failures = 0
         self.robots_denied = 0
@@ -127,10 +167,16 @@ class ArchiveCrawler:
         in the archive, exactly like the real Wayback Machine.
         """
         self.capture_attempts += 1
-        if self._honor_robots and not self._robots_allow(url, at):
+        try:
+            parsed: ParsedUrl | None = parse_url(url)
+        except UrlError:
+            parsed = None
+        if self._honor_robots and (
+            parsed is None or not self._robots_allow(parsed, at)
+        ):
             self.robots_denied += 1
             return None
-        result = self._fetcher.fetch(url, at)
+        result = self._fetcher.fetch(url if parsed is None else parsed, at)
         if not result.chain:
             self.capture_failures += 1
             return None
@@ -143,25 +189,21 @@ class ArchiveCrawler:
             redirect_location=initial.location if initial.is_redirect else None,
             final_status=final.status,
             final_url=final.url,
-            sketch=self._sketcher.sketch(final.body),
+            sketch=self._sketcher.deferred(final.body),
         )
         self._store.add(snapshot)
         return snapshot
 
     def robots_allows(self, url: str, at: SimTime) -> bool:
         """Public robots check (used by Save Page Now before queueing)."""
-        return self._robots_allow(url, at)
-
-    def _robots_allow(self, url: str, at: SimTime) -> bool:
-        """Consult the host's (cached) robots.txt for ``url``."""
-        from ..errors import UrlError
-        from ..urls.parse import parse_url
-        from ..web.robots import RobotsRules, parse_robots
-
         try:
             parsed = parse_url(url)
         except UrlError:
             return False
+        return self._robots_allow(parsed, at)
+
+    def _robots_allow(self, parsed: ParsedUrl, at: SimTime) -> bool:
+        """Consult the host's (cached) robots.txt for ``parsed``."""
         if parsed.path == "/robots.txt":
             return True
         host = parsed.host_lower
@@ -171,11 +213,11 @@ class ArchiveCrawler:
                 f"{parsed.scheme}://{parsed.hostname}/robots.txt", at
             )
             if result.final_status == 200:
-                rules = parse_robots(result.body)
+                rules = robots.parse_robots(result.body)
             else:
                 # Unreachable or missing robots: everything allowed
                 # (the capture itself will fail if the host is gone).
-                rules = RobotsRules()
+                rules = robots.RobotsRules()
             self._robots_cache[host] = (at.days, rules)
             cached = self._robots_cache[host]
         return cached[1].allows(parsed.path)

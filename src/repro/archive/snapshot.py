@@ -17,13 +17,16 @@ suffices at a tiny fraction of the memory).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from typing import TYPE_CHECKING
 
 from ..clock import SimTime
 from ..net.status import is_redirect, is_success
 
+if TYPE_CHECKING:
+    from .crawler import DeferredSketch
 
-@dataclass(frozen=True, slots=True)
+
 class Snapshot:
     """An archived copy of ``url`` captured at ``captured_at``.
 
@@ -41,22 +44,100 @@ class Snapshot:
             (equals ``initial_status`` when there was no redirect).
         final_url: URL of the final response.
         sketch: MinHash sketch of the final response body.
+
+    Sketching is deferred: ``sketch=`` takes either the tuple or a
+    :class:`~repro.archive.crawler.DeferredSketch` cell, which the
+    crawler passes so that a capture costs no MinHash. The cell's
+    sketch is computed on the first read of :attr:`sketch` (once per
+    body stem, shared by every snapshot of that stem). Equality,
+    hashing, ``repr`` and pickling all use the resolved tuple, so a
+    deferred snapshot is indistinguishable from one built with the
+    tuple. Snapshots are immutable.
     """
+
+    __slots__ = (
+        "url",
+        "captured_at",
+        "initial_status",
+        "redirect_location",
+        "final_status",
+        "final_url",
+        "_sketch",
+    )
 
     url: str
     captured_at: SimTime
     initial_status: int | None
-    redirect_location: str | None = None
-    final_status: int | None = None
-    final_url: str | None = None
-    sketch: tuple[int, ...] = ()
+    redirect_location: str | None
+    final_status: int | None
+    final_url: str | None
 
-    def __post_init__(self) -> None:
-        if self.initial_status is not None and is_redirect(self.initial_status):
-            if not self.redirect_location:
+    def __init__(
+        self,
+        url: str,
+        captured_at: SimTime,
+        initial_status: int | None,
+        redirect_location: str | None = None,
+        final_status: int | None = None,
+        final_url: str | None = None,
+        sketch: tuple[int, ...] | DeferredSketch = (),
+    ) -> None:
+        if initial_status is not None and is_redirect(initial_status):
+            if not redirect_location:
                 raise ValueError(
-                    f"3xx snapshot of {self.url!r} needs redirect_location"
+                    f"3xx snapshot of {url!r} needs redirect_location"
                 )
+        init = object.__setattr__
+        init(self, "url", url)
+        init(self, "captured_at", captured_at)
+        init(self, "initial_status", initial_status)
+        init(self, "redirect_location", redirect_location)
+        init(self, "final_status", final_status)
+        init(self, "final_url", final_url)
+        init(self, "_sketch", sketch)
+
+    @property
+    def sketch(self) -> tuple[int, ...]:
+        """MinHash sketch of the final response body."""
+        sketch = self._sketch
+        return sketch if isinstance(sketch, tuple) else sketch.value
+
+    def _fields(self) -> tuple:
+        return (
+            self.url,
+            self.captured_at,
+            self.initial_status,
+            self.redirect_location,
+            self.final_status,
+            self.final_url,
+            self.sketch,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Snapshot(url={self.url!r}, captured_at={self.captured_at!r}, "
+            f"initial_status={self.initial_status!r}, "
+            f"redirect_location={self.redirect_location!r}, "
+            f"final_status={self.final_status!r}, "
+            f"final_url={self.final_url!r}, sketch={self.sketch!r})"
+        )
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def failed(self) -> bool:

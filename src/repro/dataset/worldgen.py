@@ -466,6 +466,7 @@ def _replay(
     bot: InternetArchiveBot,
     shards: int,
 ) -> None:
+    shard_of: dict[str, int] = {}
     for event in events:
         at = SimTime(event.days)
         if event.kind is _EventKind.CREATE_ARTICLE:
@@ -491,12 +492,14 @@ def _replay(
             _human_mark(encyclopedia, title, url, at)
         else:
             (shard,) = event.payload
-            titles = tuple(
-                title
-                for title in encyclopedia.titles()
-                if _sweep_shard(title, shards) == shard
-            )
-            bot.run_sweep(at, titles=titles)
+            titles = []
+            for title in encyclopedia.titles():
+                title_shard = shard_of.get(title)
+                if title_shard is None:
+                    title_shard = shard_of[title] = _sweep_shard(title, shards)
+                if title_shard == shard:
+                    titles.append(title)
+            bot.run_sweep(at, titles=tuple(titles))
 
 
 def _ref_text(link: LinkPlan, as_cite: bool) -> str:

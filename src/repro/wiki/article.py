@@ -17,17 +17,29 @@ from .wikitext import LinkRef, extract_link_refs
 
 @dataclass(frozen=True, slots=True)
 class Revision:
-    """One immutable article revision."""
+    """One immutable article revision.
+
+    The text is parsed at most once: the first :meth:`link_refs` call
+    keeps the references, and every call returns a fresh list of them
+    (a caller's mutation cannot reach the memo).
+    """
 
     revision_id: int
     timestamp: SimTime
     user: str
     comment: str
     wikitext: str
+    _refs: tuple[LinkRef, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def link_refs(self) -> list[LinkRef]:
         """Parsed external-link references in this revision's text."""
-        return extract_link_refs(self.wikitext)
+        refs = self._refs
+        if refs is None:
+            refs = tuple(extract_link_refs(self.wikitext))
+            object.__setattr__(self, "_refs", refs)
+        return list(refs)
 
 
 @dataclass

@@ -73,34 +73,36 @@ def parse_templates(text: str) -> list[Template]:
 
     Handles nested braces (a nested template stays embedded in its
     parent's parameter value; only top-level occurrences are returned,
-    which is what the link-reference extractor needs).
+    which is what the link-reference extractor needs). Brace pairs
+    are matched greedily left to right, so ``{{{`` opens once and
+    leaves a lone ``{``; the scan jumps between pairs with
+    ``str.find``.
     """
     templates: list[Template] = []
-    index = 0
-    length = len(text)
-    while index < length - 1:
-        if text[index: index + 2] != "{{":
-            index += 1
-            continue
-        depth = 0
-        end = index
-        while end < length - 1:
-            pair = text[end: end + 2]
-            if pair == "{{":
+    find = text.find
+    start = find("{{")
+    while start != -1:
+        depth = 1
+        cursor = start + 2
+        opening = find("{{", cursor)
+        closing = find("}}", cursor)
+        while True:
+            if closing == -1:
+                raise WikiError(f"unbalanced template braces at offset {start}")
+            if opening != -1 and opening < closing:
                 depth += 1
-                end += 2
-            elif pair == "}}":
+                cursor = opening + 2
+                opening = find("{{", cursor)
+            else:
                 depth -= 1
-                end += 2
+                cursor = closing + 2
                 if depth == 0:
                     break
-            else:
-                end += 1
-        if depth != 0:
-            raise WikiError(f"unbalanced template braces at offset {index}")
-        body = text[index + 2: end - 2]
-        templates.append(_parse_template_body(body, index, end))
-        index = end
+                closing = find("}}", cursor)
+        templates.append(
+            _parse_template_body(text[start + 2: cursor - 2], start, cursor)
+        )
+        start = find("{{", cursor)
     return templates
 
 
@@ -120,29 +122,47 @@ def _parse_template_body(body: str, start: int, end: int) -> Template:
 
 
 def _split_top_level(body: str, separator: str) -> list[str]:
-    """Split on ``separator`` outside nested ``{{ }}`` groups."""
+    """Split on the one-character ``separator`` outside nested
+    ``{{ }}`` groups.
+
+    Brace pairs are matched as in :func:`parse_templates`; a stray
+    ``}}`` takes the depth below zero, and separators split only at
+    depth zero. Bodies without brace pairs take a plain ``str.split``.
+    """
+    if "{{" not in body and "}}" not in body:
+        return body.split(separator)
+    find = body.find
+    end = len(body)
     parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    index = 0
-    while index < len(body):
-        pair = body[index: index + 2]
-        if pair == "{{":
+    part_start = cursor = depth = 0
+    opening = find("{{")
+    closing = find("}}")
+    if opening == -1:
+        opening = end
+    if closing == -1:
+        closing = end
+    while True:
+        pair = min(opening, closing)
+        if depth == 0:
+            split = find(separator, cursor, pair)
+            if split != -1:
+                parts.append(body[part_start:split])
+                part_start = cursor = split + 1
+                continue
+        if pair == end:
+            break
+        cursor = pair + 2
+        if pair == opening:
             depth += 1
-            current.append(pair)
-            index += 2
-        elif pair == "}}":
-            depth -= 1
-            current.append(pair)
-            index += 2
-        elif body[index] == separator and depth == 0:
-            parts.append("".join(current))
-            current = []
-            index += 1
+            opening = find("{{", cursor)
+            if opening == -1:
+                opening = end
         else:
-            current.append(body[index])
-            index += 1
-    parts.append("".join(current))
+            depth -= 1
+            closing = find("}}", cursor)
+            if closing == -1:
+                closing = end
+    parts.append(body[part_start:])
     return parts
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.archive — snapshots, store, availability, CDX, crawlers."""
 
+import pickle
+
 import pytest
 
 from repro.archive.availability import AvailabilityApi, AvailabilityPolicy
@@ -372,6 +374,92 @@ class TestArchiveCrawler:
         sketcher.sketch("same core text here req1111")
         sketcher.sketch("same core text here req2222")
         assert sketcher.misses == 1
+
+
+class TestDeferredSketches:
+    """Captures defer their sketch; reads must see the eager value."""
+
+    ALIVE = "http://news.example.com/stays/alive.html"
+
+    def test_capture_does_not_sketch(self, micro_web):
+        crawler = ArchiveCrawler(micro_web.fetcher(), SnapshotStore())
+        crawler.capture(self.ALIVE, T2010)
+        crawler.capture(self.ALIVE, T2012)
+        assert crawler._sketcher.misses == 0
+
+    def test_deferred_snapshot_matches_eager_one(self, micro_web):
+        crawler = ArchiveCrawler(micro_web.fetcher(), SnapshotStore())
+        deferred = crawler.capture(self.ALIVE, T2010)
+        body = micro_web.fetcher().fetch(self.ALIVE, T2010).body
+        eager = Snapshot(
+            url=deferred.url,
+            captured_at=deferred.captured_at,
+            initial_status=deferred.initial_status,
+            redirect_location=deferred.redirect_location,
+            final_status=deferred.final_status,
+            final_url=deferred.final_url,
+            sketch=BodySketcher().sketch(body),
+        )
+        # Hash and repr first: both must resolve the deferred sketch.
+        assert hash(deferred) == hash(eager)
+        assert repr(deferred) == repr(eager)
+        assert deferred == eager and eager == deferred
+        assert deferred.sketch == eager.sketch != ()
+        for original in (deferred, eager):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == deferred and copy == eager
+            assert type(copy.sketch) is tuple
+
+    def test_differing_sketch_breaks_equality(self, micro_web):
+        crawler = ArchiveCrawler(micro_web.fetcher(), SnapshotStore())
+        deferred = crawler.capture(self.ALIVE, T2010)
+        other = Snapshot(
+            url=deferred.url,
+            captured_at=deferred.captured_at,
+            initial_status=deferred.initial_status,
+            final_status=deferred.final_status,
+            final_url=deferred.final_url,
+            sketch=(1, 2, 3),
+        )
+        assert deferred != other
+
+    def test_snapshots_are_immutable(self):
+        with pytest.raises(AttributeError):
+            snap().initial_status = 404
+        with pytest.raises(AttributeError):
+            snap().sketch = ()
+
+    def test_minhash_runs_once_per_stem(self, micro_web, monkeypatch):
+        import repro.archive.crawler as crawler_module
+
+        computed = []
+        real = crawler_module.minhash_sketch
+
+        def counting(stem):
+            computed.append(stem)
+            return real(stem)
+
+        monkeypatch.setattr(crawler_module, "minhash_sketch", counting)
+        store = SnapshotStore()
+        crawler = ArchiveCrawler(micro_web.fetcher(), store)
+        urls = [self.ALIVE, "http://news.example.com/gone/deleted.html"]
+        for url in urls:
+            for year in (2009, 2010, 2011, 2013, 2014):
+                crawler.capture(url, SimTime.from_ymd(year, 1, 1))
+        rows = [row for url in urls for row in store.snapshots(url)]
+        assert len(rows) == 10
+        for _ in range(2):
+            for row in rows:
+                assert row.sketch
+        sketcher = crawler._sketcher
+        stems = {row._sketch.stem for row in rows}
+        assert len(stems) < len(rows)
+        assert sketcher.misses == len(stems) == len(computed)
+        assert sorted(computed) == sorted(stems)
+        # The eager path shares the memo with the deferred one.
+        for url in urls:
+            sketcher.sketch(micro_web.fetcher().fetch(url, T2010).body)
+        assert sketcher.misses == len(stems)
 
 
 class TestOrganicCrawlPlanner:

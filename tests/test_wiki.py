@@ -212,6 +212,53 @@ class TestArticleHistory:
         assert marking.user == IABOT_USERNAME
         assert marking.timestamp == T2016
 
+    def test_link_refs_memo_survives_caller_mutation(self):
+        article = Article(title="T")
+        revision = article.edit(T2010, "A", "* " + cite_web(URL, "S").render())
+        refs = revision.link_refs()
+        assert [ref.url for ref in refs] == [URL]
+        refs.clear()
+        refs.append("junk")
+        again = revision.link_refs()
+        assert [ref.url for ref in again] == [URL]
+        assert again is not refs
+
+    def test_each_revision_parsed_once(self, monkeypatch):
+        import repro.wiki.article as article_module
+
+        parsed = []
+        real = article_module.extract_link_refs
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(article_module, "extract_link_refs", counting)
+        enc = Encyclopedia()
+        enc.create_article("T", T2010, "A", "* " + cite_web(URL, "S").render())
+        marked = (
+            "* " + cite_web(URL, "S").render()
+            + dead_link(T2016, IABOT_USERNAME).render()
+        )
+        enc.edit_article("T", T2016, IABOT_USERNAME, marked)
+        article = enc.article("T")
+        assert article.first_revision_marking_dead(URL).timestamp == T2016
+        assert article.first_revision_with_url(URL).timestamp == T2010
+        article.link_refs()
+        assert sorted(parsed) == sorted(
+            revision.wikitext for revision in article.revisions
+        )
+
+    def test_memo_invisible_to_equality(self):
+        first = Article(title="T")
+        second = Article(title="T")
+        text = "* " + cite_web(URL, "S").render()
+        parsed = first.edit(T2010, "A", text)
+        unparsed = second.edit(T2010, "A", text)
+        parsed.link_refs()
+        assert parsed == unparsed and hash(parsed) == hash(unparsed)
+        assert repr(parsed) == repr(unparsed)
+
 
 class TestEncyclopedia:
     def test_create_and_lookup(self):

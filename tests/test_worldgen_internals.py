@@ -1,5 +1,8 @@
 """Tests for world-generation internals: events, articles, sweeps."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.clock import SimTime
@@ -7,6 +10,7 @@ from repro.dataset.builder import WebBuilder, first_sweep_after
 from repro.dataset.planner import plan_universe
 from repro.dataset.worldgen import (
     WorldConfig,
+    generate_world,
     _assemble_events,
     _EventKind,
     _plan_articles,
@@ -115,3 +119,60 @@ class TestBuilderHelpers:
         for link in links:
             hostname = built.truth[link.url].hostname
             assert hostname in built.site_rankings
+
+
+def world_digest(world) -> str:
+    """SHA-256 over everything the replay leaves behind.
+
+    Covers every snapshot field (sketch included), every revision of
+    every article, the link event log, the bot's counters and the
+    crawler's attempt / failure / robots-denied counters.
+    """
+    digest = hashlib.sha256()
+
+    def put(*fields) -> None:
+        digest.update(repr(fields).encode())
+        digest.update(b"\n")
+
+    store = world.store
+    for url in store.all_urls():
+        for snap in store.snapshots(url, include_failed=True):
+            put(
+                snap.url, snap.captured_at.days, snap.initial_status,
+                snap.redirect_location, snap.final_status, snap.final_url,
+                snap.sketch,
+            )
+    encyclopedia = world.encyclopedia
+    for title in encyclopedia.titles():
+        for rev in encyclopedia.article(title).revisions:
+            put(
+                title, rev.revision_id, rev.timestamp.days, rev.user,
+                rev.comment, rev.wikitext,
+            )
+    for event in encyclopedia.events.events():
+        put(type(event).__name__, dataclasses.astuple(event))
+    put(dataclasses.astuple(world.bot.stats))
+    crawler = world.crawler
+    put(
+        crawler.capture_attempts, crawler.capture_failures,
+        crawler.robots_denied,
+    )
+    return digest.hexdigest()
+
+
+#: Digests of two toy worlds. Replay speed-ups (parse memos, deferred
+#: sketches, ...) must leave every world byte-identical, so these change
+#: only when the simulated history itself is meant to change.
+WORLD_GOLDENS = {
+    (160, 11): "c68bfbf25c7429c50196eb4ac4ac5e09bbfe40c98a812ee6675af8aafe7e5d7c",
+    (240, 2022): "70c83f23ea18b13dc0b18e1558348e421a5e9cac409de941e0c6842622533e38",
+}
+
+
+class TestWorldGolden:
+    @pytest.mark.parametrize("n_links, seed", sorted(WORLD_GOLDENS))
+    def test_world_digest_pinned(self, n_links, seed):
+        world = generate_world(
+            WorldConfig(n_links=n_links, target_sample=n_links, seed=seed)
+        )
+        assert world_digest(world) == WORLD_GOLDENS[(n_links, seed)]
