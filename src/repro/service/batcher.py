@@ -92,18 +92,15 @@ class MicroBatcher:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._pending: list[BatchItem] = []
         self._opened_ms: float | None = None
+        #: When the open batch must flush, or None when empty. A plain
+        #: attribute (set when a batch opens, cleared when it closes),
+        #: because event loops read it once per replica per event.
+        self.deadline_ms: float | None = None
 
     @property
     def pending(self) -> int:
         """Items waiting in the open batch."""
         return len(self._pending)
-
-    @property
-    def deadline_ms(self) -> float | None:
-        """When the open batch must flush, or None when empty."""
-        if self._opened_ms is None:
-            return None
-        return self._opened_ms + self.max_wait_ms
 
     def add(self, request, ready_ms: float) -> Batch | None:
         """Admit one request at ``ready_ms``; return a batch if full.
@@ -113,6 +110,7 @@ class MicroBatcher:
         """
         if self._opened_ms is None:
             self._opened_ms = ready_ms
+            self.deadline_ms = ready_ms + self.max_wait_ms
         self._pending.append(BatchItem(request=request, ready_ms=ready_ms))
         if len(self._pending) >= self.max_batch:
             return self._flush(flush_ms=ready_ms)
@@ -158,7 +156,7 @@ class MicroBatcher:
         """
         items = tuple(self._pending)
         self._pending.clear()
-        self._opened_ms = None
+        self._opened_ms = self.deadline_ms = None
         if items:
             self.metrics.counter("service.batch.drained").inc(len(items))
         return items
@@ -170,7 +168,7 @@ class MicroBatcher:
             flush_ms=flush_ms,
         )
         self._pending.clear()
-        self._opened_ms = None
+        self._opened_ms = self.deadline_ms = None
         self.metrics.counter("service.batch.flushes").inc()
         self.metrics.counter("service.batch.items").inc(len(batch))
         self.metrics.histogram(

@@ -77,6 +77,11 @@ from .workload import Request
 
 __all__ = ["ClusterConfig", "ClusterResult", "ClusterService", "ShardIndex"]
 
+#: Queries whose shard :meth:`ClusterService.shard_for` memoises. Unknown
+#: URLs are often unique hosts, so the memo restarts when full instead
+#: of growing with traffic.
+_ROUTE_MEMO_CAP = 4096
+
 
 class ShardIndex:
     """One shard's immutable view of the parent snapshot.
@@ -340,6 +345,13 @@ class ClusterService:
             else None
         )
         self._picker = ReplicaPicker(cluster.policy, seed=cluster.router_seed)
+        #: Whether anything reads replica load: the round-robin policy
+        #: and a zero congestion charge never do, so then completions
+        #: are not tracked at all.
+        self._track_load = (
+            cluster.policy != "round_robin"
+            or cluster.congestion_ms_per_inflight > 0
+        )
         self._quotas = (
             TenantQuotas(dict(cluster.quotas)) if cluster.quotas else None
         )
@@ -353,7 +365,12 @@ class ClusterService:
         self.shard_ids = tuple(
             f"shard-{i}" for i in range(cluster.n_shards)
         )
+        #: Routing key -> shard, for every indexed domain and every key
+        #: a rebalance moved; other keys fall back to rendezvous hashing.
         self._shard_of: dict[str, str] = {}
+        #: (kind, target) -> shard, bounded by _ROUTE_MEMO_CAP and
+        #: cleared whenever a rebalance rewrites ``_shard_of``.
+        self._route_memo: dict[tuple[str, str], str] = {}
         self.shards: dict[str, ShardIndex] = self._partition(index)
 
         # -- spin up the replicas --------------------------------------------------
@@ -370,6 +387,7 @@ class ClusterService:
             for shard_id in self.shard_ids
             for replica in self.replicas[shard_id]
         )
+        self._batchers = tuple(r.batcher for r in self._all_replicas)
         self.metrics.gauge("service.cluster.shards").set(cluster.n_shards)
         self.metrics.gauge("service.cluster.replicas").set(
             len(self._all_replicas)
@@ -420,11 +438,19 @@ class ClusterService:
 
     def shard_for(self, kind: str, target: str) -> str:
         """The shard that owns one query (memoized rendezvous hash)."""
-        key = routing_key(kind, target)
-        shard_id = self._shard_of.get(key)
+        if len(self.shard_ids) == 1:
+            # One shard owns every key (a rebalance can only target it).
+            return self.shard_ids[0]
+        query = (kind, target)
+        shard_id = self._route_memo.get(query)
         if shard_id is None:
-            shard_id = rendezvous_owner(key, self.shard_ids)
-            self._shard_of[key] = shard_id
+            key = routing_key(kind, target)
+            shard_id = self._shard_of.get(key)
+            if shard_id is None:
+                shard_id = rendezvous_owner(key, self.shard_ids)
+            if len(self._route_memo) >= _ROUTE_MEMO_CAP:
+                self._route_memo.clear()
+            self._route_memo[query] = shard_id
         return shard_id
 
     def _available_replicas(
@@ -502,6 +528,9 @@ class ClusterService:
         #: call and the first dispatch comes from admission.
         self._blame: dict[int, list[str]] = {}
         self._requeues: dict[int, int] = {}
+        #: Dispatches placed this run, published to the registry once
+        #: at the end instead of one counter lookup per dispatch.
+        self._dispatches = 0
         #: Compact observation log: one tuple per coalesced group or
         #: shed. Spans, exemplars, and audit records all expand from
         #: it in :meth:`_materialize_observations` on first telemetry
@@ -551,6 +580,10 @@ class ClusterService:
             if pool is not None:
                 pool.shutdown(wait=True)
         responses.sort(key=lambda r: r.request_id)
+        if self._dispatches:
+            self.metrics.counter("service.cluster.dispatches").inc(
+                self._dispatches
+            )
         self._fold_replica_metrics()
         if self._obs_log is not None:
             # Hand the run's observation log to whichever telemetry
@@ -611,12 +644,16 @@ class ClusterService:
         best: tuple[float, int, int] | None = None
         if self._pending_transitions:
             best = (self._pending_transitions[0].at_ms, _P_TRANSITION, 0)
-        for position, replica in enumerate(self._all_replicas):
-            deadline = replica.batcher.deadline_ms
-            if deadline is not None:
-                candidate = (deadline, _P_DEADLINE, position)
-                if best is None or candidate < best:
-                    best = candidate
+        # The earliest deadline, lowest replica position on ties.
+        due, due_position = None, 0
+        for position, batcher in enumerate(self._batchers):
+            deadline = batcher.deadline_ms
+            if deadline is not None and (due is None or deadline < due):
+                due, due_position = deadline, position
+        if due is not None:
+            candidate = (due, _P_DEADLINE, due_position)
+            if best is None or candidate < best:
+                best = candidate
         if self._pending_reconfigs:
             candidate = (self._pending_reconfigs[0].at_ms, _P_SWAP, 0)
             if best is None or candidate < best:
@@ -805,6 +842,7 @@ class ClusterService:
                 losers.add(source)
                 gainers.add(target)
             self._shard_of[key] = target
+        self._route_memo.clear()
         self.shards = self._partition(self.index)
         drainable = losers - gainers
         binds: dict[str, tuple[ShardIndex, bool]] = {}
@@ -1015,7 +1053,11 @@ class ClusterService:
             )
             self._requeue(request, wake, attempt + 1, causes=causes)
             return
-        outstanding = [replica.outstanding(ready_ms) for replica in alive]
+        outstanding = (
+            [replica.outstanding(ready_ms) for replica in alive]
+            if self._track_load
+            else []
+        )
         choice = self._picker.pick(
             shard_id,
             len(alive),
@@ -1024,7 +1066,7 @@ class ClusterService:
             attempt=attempt,
         )
         replica = alive[choice]
-        self.metrics.counter("service.cluster.dispatches").inc()
+        self._dispatches += 1
         batch = replica.batcher.add(request, ready_ms)
         if batch is not None:
             self._execute(replica, batch, responses, pool)
@@ -1046,6 +1088,8 @@ class ClusterService:
         flush_ms = batch.flush_ms
         groups = batch.groups()
         rid = replica.replica_id
+        metrics = replica.metrics
+        version = replica.index.version
         failure = faults.next_failure(rid, flush_ms) if faults else None
         fail_at, fail_channel = failure if failure else (None, "")
         slow = faults.slow_factor(rid) if faults else 1.0
@@ -1053,6 +1097,8 @@ class ClusterService:
         congestion_ms = (
             self.cluster.congestion_ms_per_inflight
             * replica.outstanding(flush_ms)
+            if self._track_load
+            else 0.0
         )
 
         # Cache pass (coordinator thread; order = first-arrival order).
@@ -1063,7 +1109,7 @@ class ClusterService:
         for key in groups:
             lost = faults.cache_lost(key, rid) if faults else False
             if lost:
-                replica.metrics.counter("service.cache.faults").inc()
+                metrics.counter("service.cache.faults").inc()
             hit = None if lost else replica.cache.get(key, flush_ms)
             if hit is not None:
                 resolved[key] = hit
@@ -1090,18 +1136,16 @@ class ClusterService:
             resolved[key] = outcome
             spiked = faults.spike_ms(key, rid) if faults else 0.0
             if spiked:
-                replica.metrics.counter("service.index.spikes").inc()
+                metrics.counter("service.index.spikes").inc()
             spike[key] = spiked
             latency[key] = (
-                key_latency_ms(
-                    replica.index.version, key, self.config.index_latency_ms
-                )
+                key_latency_ms(version, key, self.config.index_latency_ms)
                 * slow
                 * catchup
                 + spiked
                 + congestion_ms
             )
-            replica.metrics.counter("service.index.lookups").inc()
+            metrics.counter("service.index.lookups").inc()
 
         # Emission pass: responses, counters, spans — or loss.
         fresh = set(jobs)
@@ -1111,7 +1155,7 @@ class ClusterService:
                 # The replica dies under this group: everything it was
                 # computing is lost; the router re-dispatches at the
                 # failure instant. No response, no cache write.
-                replica.metrics.counter("service.cluster.lost_inflight").inc(
+                metrics.counter("service.cluster.lost_inflight").inc(
                     len(items)
                 )
                 cause = f"{rid}:{fail_channel}"
@@ -1121,7 +1165,8 @@ class ClusterService:
             status, body = resolved[key]
             if key in fresh:
                 replica.cache.put(key, resolved[key], flush_ms)
-            replica.note_completion(completion_ms, len(items))
+            if self._track_load:
+                replica.note_completion(completion_ms, len(items))
             if self._obs_log is not None:
                 # One compact entry per coalesced group; spans,
                 # exemplars, and audit records expand from it in
@@ -1134,22 +1179,20 @@ class ClusterService:
                 self._obs_log.append((
                     replica, key, items, status, completion_ms,
                     key in fresh, latency[key], spike.get(key, 0.0),
-                    replica.index.version,
+                    version,
                 ))
+            metrics.counter(
+                "service.requests.ok"
+                if status == 200
+                else "service.requests.failed"
+            ).inc(len(items))
+            observe = metrics.histogram(
+                "service.latency_ms", LATENCY_BOUNDS_MS
+            ).observe
+            carrier_source = "index" if key in fresh else "cache"
             for position, item in enumerate(items):
                 request = item.request
-                if position == 0:
-                    source = "index" if key in fresh else "cache"
-                else:
-                    source = "coalesced"
-                replica.metrics.counter(
-                    "service.requests.ok"
-                    if status == 200
-                    else "service.requests.failed"
-                ).inc()
-                replica.metrics.histogram(
-                    "service.latency_ms", LATENCY_BOUNDS_MS
-                ).observe(completion_ms - request.arrival_ms)
+                observe(completion_ms - request.arrival_ms)
                 responses.append(
                     Response(
                         request_id=request.request_id,
@@ -1158,8 +1201,8 @@ class ClusterService:
                         arrival_ms=request.arrival_ms,
                         start_ms=item.ready_ms,
                         completion_ms=completion_ms,
-                        source=source,
-                        index_version=replica.index.version,
+                        source=carrier_source if position == 0 else "coalesced",
+                        index_version=version,
                     )
                 )
         if self._drain_state is not None:

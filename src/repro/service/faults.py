@@ -52,6 +52,12 @@ __all__ = ["ReplicaFaultEvent", "ServiceFaultPlan", "ServiceFaults"]
 
 _OFF = FaultSpec(rate=0.0)
 _UNIT_DENOM = float(2**64)
+#: Replicas whose fault schedule one :class:`ServiceFaults` memoises.
+#: A fleet has far fewer; the cap only keeps arbitrary callers bounded.
+_SCHEDULE_MEMO_CAP = 1024
+
+#: One replica's unavailability window ``(start, end)``, or None.
+_Window = tuple[float, float] | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +186,9 @@ class ServiceFaults:
         self.plan = plan
         self.injected = 0
         self._stream_seeds: dict[str, int] = {}
+        #: replica id -> (crash window, partition window, slow factor),
+        #: each pure in (plan seed, replica id), so computed once.
+        self._schedules: dict[str, tuple[_Window, _Window, float]] = {}
 
     # -- the one source of randomness --------------------------------------------
 
@@ -213,8 +222,9 @@ class ServiceFaults:
 
     def spike_ms(self, key: str, replica_id: str = "") -> float:
         """Extra index-lookup latency for ``key`` on ``replica_id``."""
-        if self._hit(
-            "index_spike", self.plan.index_spike, self._scoped(replica_id, key)
+        spec = self.plan.index_spike
+        if spec.active and self._hit(
+            "index_spike", spec, self._scoped(replica_id, key)
         ):
             self.injected += 1
             return self.plan.index_spike_ms
@@ -222,8 +232,9 @@ class ServiceFaults:
 
     def cache_lost(self, key: str, replica_id: str = "") -> bool:
         """Whether cache reads of ``key`` on ``replica_id`` are lost."""
-        if self._hit(
-            "cache", self.plan.cache_fault, self._scoped(replica_id, key)
+        spec = self.plan.cache_fault
+        if spec.active and self._hit(
+            "cache", spec, self._scoped(replica_id, key)
         ):
             self.injected += 1
             return True
@@ -231,30 +242,48 @@ class ServiceFaults:
 
     # -- replica-level schedule (all pure) ---------------------------------------
 
+    def _schedule(self, replica_id: str) -> tuple[_Window, _Window, float]:
+        """``(crash window, partition window, slow factor)`` of one
+        replica, hashed on first use and memoised (at most
+        :data:`_SCHEDULE_MEMO_CAP` replicas; the memo restarts when
+        full)."""
+        schedule = self._schedules.get(replica_id)
+        if schedule is not None:
+            return schedule
+        plan = self.plan
+        crash = partition = None
+        if self._hit("crash", plan.replica_crash, replica_id):
+            start = (
+                self._unit("crash", "start", replica_id) * plan.crash_horizon_ms
+            )
+            crash = (start, start + plan.crash_duration_ms)
+        if self._hit("partition", plan.replica_partition, replica_id):
+            start = (
+                self._unit("partition", "start", replica_id)
+                * plan.partition_horizon_ms
+            )
+            partition = (start, start + plan.partition_duration_ms)
+        slow = (
+            plan.slow_factor
+            if self._hit("slow", plan.replica_slow, replica_id)
+            else 1.0
+        )
+        if len(self._schedules) >= _SCHEDULE_MEMO_CAP:
+            self._schedules.clear()
+        schedule = self._schedules[replica_id] = (crash, partition, slow)
+        return schedule
+
     def crash_window(self, replica_id: str) -> tuple[float, float] | None:
         """``(start, end)`` of this replica's crash, or None."""
-        plan = self.plan
-        if not self._hit("crash", plan.replica_crash, replica_id):
-            return None
-        start = self._unit("crash", "start", replica_id) * plan.crash_horizon_ms
-        return (start, start + plan.crash_duration_ms)
+        return self._schedule(replica_id)[0]
 
     def partition_window(self, replica_id: str) -> tuple[float, float] | None:
         """``(start, end)`` of this replica's partition, or None."""
-        plan = self.plan
-        if not self._hit("partition", plan.replica_partition, replica_id):
-            return None
-        start = (
-            self._unit("partition", "start", replica_id)
-            * plan.partition_horizon_ms
-        )
-        return (start, start + plan.partition_duration_ms)
+        return self._schedule(replica_id)[1]
 
     def slow_factor(self, replica_id: str) -> float:
         """This replica's permanent lookup-latency multiplier."""
-        if self._hit("slow", self.plan.replica_slow, replica_id):
-            return self.plan.slow_factor
-        return 1.0
+        return self._schedule(replica_id)[2]
 
     def catchup_factor(self, replica_id: str, at_ms: float) -> float:
         """The post-recovery warm-up multiplier in force at ``at_ms``."""
@@ -268,13 +297,10 @@ class ServiceFaults:
 
     def available(self, replica_id: str, at_ms: float) -> bool:
         """Whether the replica can accept work at ``at_ms``."""
-        for window in (
-            self.crash_window(replica_id),
-            self.partition_window(replica_id),
-        ):
-            if window is not None and window[0] <= at_ms < window[1]:
-                return False
-        return True
+        crash, partition, _ = self._schedule(replica_id)
+        if crash is not None and crash[0] <= at_ms < crash[1]:
+            return False
+        return partition is None or not partition[0] <= at_ms < partition[1]
 
     def next_failure(
         self, replica_id: str, after_ms: float
@@ -284,12 +310,10 @@ class ServiceFaults:
         the audit log's blame trail records — it is how a lost
         in-flight request gets attributed to "s0r1's *crash*" rather
         than just "s0r1"."""
+        crash, partition, _ = self._schedule(replica_id)
         onsets = [
             (window[0], channel)
-            for channel, window in (
-                ("crash", self.crash_window(replica_id)),
-                ("partition", self.partition_window(replica_id)),
-            )
+            for channel, window in (("crash", crash), ("partition", partition))
             if window is not None and window[0] > after_ms
         ]
         return min(onsets) if onsets else None

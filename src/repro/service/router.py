@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from ..errors import UrlError
 from ..urls.parse import hostname_of
 from ..urls.psl import registrable_domain
 from .admission import TokenBucket
@@ -91,7 +92,7 @@ def routing_key(kind: str, target: str) -> str:
     if kind == "url":
         try:
             return registrable_domain(hostname_of(target))
-        except Exception:
+        except UrlError:
             # Unparseable target: any stable key works — the lookup
             # will 404 identically on every shard.
             return target

@@ -80,7 +80,10 @@ def unique_neighbor(target: str, candidates: list[str], distance: int = 1) -> st
 
     Returns ``None`` when zero or more than one candidate lies at the
     requested distance — the paper's criterion for flagging a typo only
-    when the correction is unambiguous.
+    when the correction is unambiguous. "Exactly ``distance``" is
+    "within ``distance`` but not within ``distance - 1``", so no full
+    dynamic program runs (``distance <= 0`` never matches: the target
+    itself is skipped).
     """
     found: str | None = None
     for candidate in candidates:
@@ -88,7 +91,7 @@ def unique_neighbor(target: str, candidates: list[str], distance: int = 1) -> st
             continue
         if not within_distance(target, candidate, distance):
             continue
-        if edit_distance(target, candidate) != distance:
+        if within_distance(target, candidate, distance - 1):
             continue
         if found is not None:
             return None

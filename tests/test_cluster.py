@@ -19,21 +19,35 @@ The contracts pinned here:
 - fault decisions are keyed by (replica, key) — never by arrival
   order or attempt count — so the chaos schedule is invariant to the
   router policy under test (the regression this PR exists to pin);
-- per-replica metric families fold into the fleet rollup exactly.
+- per-replica metric families fold into the fleet rollup exactly;
+- two replays (slow replicas with delta swaps, crash + partition
+  chaos) keep pinned digests over every response field, the metrics
+  snapshot and the audit log;
+- the routing and fault-schedule memos answer exactly as the direct
+  computation and stay bounded.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultSpec
+from repro.obs.export import render_json
+from repro.obs.metrics import MetricsRegistry
 from repro.service import (
+    AuditLog,
     ClusterConfig,
     ClusterService,
+    DeltaApply,
+    GenerationDelta,
     LinkStatusIndex,
     LinkStatusService,
+    RebalancePlan,
     ServerConfig,
     ServiceFaultPlan,
     ServiceFaults,
@@ -171,6 +185,78 @@ def test_routing_key_kinds():
     )
     # Unparseable URLs still get a stable key (they 404 on any shard).
     assert routing_key("url", "::") == routing_key("url", "::")
+
+
+@pytest.fixture(scope="module")
+def routing_service(service_index) -> ClusterService:
+    """A 4-shard fleet whose routing memo the fuzz tests share."""
+    return ClusterService(
+        service_index, cluster=ClusterConfig(n_shards=4, replicas_per_shard=1)
+    )
+
+
+#: URL-shaped text: odd schemes, empty and port-only hosts, empty
+#: labels, stray dots and slashes — every branch of the URL and PSL
+#: parsers' error handling.
+url_like = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(
+        ["http://", "https://", "HTTP://", "ftp://", "http:/", "", "http://."]
+    ),
+    st.text(alphabet="ab.:-ck*!", max_size=12),
+    st.text(alphabet="/?#a.", max_size=6),
+)
+query_kinds = st.sampled_from(
+    ["url", "domain", "bucket_counts", "quantile"]
+) | st.text(max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=query_kinds, target=url_like | st.text(max_size=30))
+def test_routing_boundary_never_raises(routing_service, kind, target):
+    """Arbitrary (kind, target) text routes without raising, to the
+    same shard every time, and a memo hit equals the direct answer."""
+    key = routing_key(kind, target)
+    assert isinstance(key, str)
+    assert routing_key(kind, target) == key
+    first = routing_service.shard_for(kind, target)
+    assert (kind, target) in routing_service._route_memo
+    assert routing_service.shard_for(kind, target) == first
+    assert first == rendezvous_owner(key, routing_service.shard_ids)
+
+
+def test_route_memo_is_bounded(service_index):
+    """More distinct unknown hosts than the memo holds: the memo stays
+    at or under its cap, the ownership table does not grow, and every
+    answer still equals the direct computation."""
+    from repro.service.cluster import _ROUTE_MEMO_CAP
+
+    svc = ClusterService(
+        service_index, cluster=ClusterConfig(n_shards=4, replicas_per_shard=1)
+    )
+    owned = len(svc._shard_of)
+    for i in range(_ROUTE_MEMO_CAP + 500):
+        url = f"http://unknown-{i}.invalid/"
+        owner = rendezvous_owner(routing_key("url", url), svc.shard_ids)
+        assert svc.shard_for("url", url) == owner
+        assert len(svc._route_memo) <= _ROUTE_MEMO_CAP
+    assert len(svc._shard_of) == owned
+
+
+def test_route_memo_follows_rebalance(service_index):
+    """A memoised route is dropped when a rebalance moves its key."""
+    svc = ClusterService(
+        service_index, cluster=ClusterConfig(n_shards=2, replicas_per_shard=1)
+    )
+    entry = service_index.entries[0]
+    owner = svc.shard_for("url", entry.url)
+    target = next(s for s in svc.shard_ids if s != owner)
+    svc.serve(
+        mixed_workload(service_index, n=50),
+        swaps=[RebalancePlan(at_ms=0.0, moves=((entry.domain, target),))],
+    )
+    assert svc.shard_for("url", entry.url) == target
+    assert svc.shard_for("domain", entry.domain) == target
 
 
 # -- shard views -----------------------------------------------------------------
@@ -375,6 +461,99 @@ def test_slow_replica_moves_latency_not_answers(service_index):
     assert slowed.latency_quantile(0.99) > clean.latency_quantile(0.99)
 
 
+# -- replay goldens ---------------------------------------------------------------
+
+
+def replay_digest(result, metrics, audit) -> str:
+    """SHA-256 over every ``Response`` field, the canonical metrics
+    snapshot and the audit JSONL of one cluster replay."""
+    digest = hashlib.sha256()
+    for r in result.responses:
+        fields = [
+            r.request_id, r.status, r.body, r.arrival_ms, r.start_ms,
+            r.completion_ms, r.source, r.index_version,
+        ]
+        digest.update(
+            json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+        )
+        digest.update(b"\n")
+    digest.update(render_json(metrics).encode())
+    digest.update("\n".join(audit.lines()).encode())
+    return digest.hexdigest()
+
+
+def observed_replay(index, workload, cluster, plan, config=ServerConfig(),
+                    swaps=None):
+    metrics, audit = MetricsRegistry(), AuditLog()
+    result = ClusterService(
+        index, config, cluster, metrics=metrics, faults=plan, audit=audit
+    ).serve(workload, swaps=swaps)
+    return result, replay_digest(result, metrics, audit)
+
+
+#: Digests of the two replays below, recorded before the serving loop's
+#: routing, fault-schedule, metrics and event-scan memos existed. Any
+#: change to a response, a metric or an audit record moves them.
+SLOW_DELTA_REPLAY_SHA = (
+    "549636b57eb3fbc6121f924abb01a5e8e135f5fb1df42c1f65a5273e2f9e9440"
+)
+CRASH_PARTITION_REPLAY_SHA = (
+    "53c81080cf345941a76dae19cff362076c1676c78244e7c0b074ab481bd554be"
+)
+
+
+def test_slow_replica_delta_replay_golden(service_index):
+    """4×2 with one slow replica per shard, an atomic and a drained
+    ``DeltaApply`` between generations cut from the shared index."""
+    entries = service_index.entries
+    gap_days = service_index.gap_days
+    g1 = LinkStatusIndex(
+        tuple(e for i, e in enumerate(entries) if i % 7 != 3), gap_days
+    )
+    g2 = LinkStatusIndex(
+        tuple(e for i, e in enumerate(entries) if i % 5 != 1), gap_days
+    )
+    workload = mixed_workload(service_index)
+    horizon = workload[-1].arrival_ms
+    swaps = [
+        DeltaApply(
+            at_ms=horizon / 3.0,
+            delta=GenerationDelta.between(service_index, g1),
+        ),
+        DeltaApply(
+            at_ms=2.0 * horizon / 3.0,
+            drain=True,
+            delta=GenerationDelta.between(g1, g2),
+        ),
+    ]
+    result, digest = observed_replay(
+        service_index,
+        workload,
+        ClusterConfig(n_shards=4, replicas_per_shard=2),
+        ServiceFaultPlan.slow_replicas(0.5, seed=27),
+        config=ServerConfig(cache_capacity=32),
+        swaps=swaps,
+    )
+    assert result.index_versions == (
+        service_index.version, g1.version, g2.version
+    )
+    assert [e.drained_batches for e in result.reconfig_events] == [0, 3]
+    assert digest == SLOW_DELTA_REPLAY_SHA
+
+
+def test_crash_partition_replay_golden(service_index):
+    """2×2 under crash + partition + slow chaos, with re-dispatches."""
+    result, digest = observed_replay(
+        service_index,
+        mixed_workload(service_index),
+        ClusterConfig(n_shards=2, replicas_per_shard=2),
+        CRASH_PLAN,
+    )
+    assert result.redispatches == 11
+    assert len(result.fault_events) == 10
+    assert digest == CRASH_PARTITION_REPLAY_SHA
+
+
 # -- fault decisions are router-policy invariant (the regression) ----------------
 
 
@@ -463,6 +642,110 @@ def test_replica_windows_are_pure_and_consistent():
     assert [e.kind for e in events] == ["crash", "recover"]
 
 
+#: The replica plans the chaos grids run (this file's, and the shape of
+#: the live and reconfiguration grids), plus the benchmark's slow plan
+#: and a plan that fires every key-level channel.
+GRID_PLANS = (
+    CRASH_PLAN,
+    ServiceFaultPlan(
+        seed=13,
+        replica_crash=FaultSpec(rate=0.4),
+        crash_horizon_ms=500.0,
+        crash_duration_ms=60.0,
+        replica_partition=FaultSpec(rate=0.3),
+        partition_horizon_ms=500.0,
+        partition_duration_ms=50.0,
+        replica_slow=FaultSpec(rate=0.3),
+    ),
+    ServiceFaultPlan.crashes(rate=1.0, seed=9, horizon_ms=400.0,
+                             duration_ms=250.0),
+    ServiceFaultPlan.slow_replicas(0.5, seed=27),
+    ServiceFaultPlan(
+        seed=2,
+        index_spike=FaultSpec(rate=0.5, permanent=True),
+        cache_fault=FaultSpec(rate=0.5, permanent=True),
+        replica_crash=FaultSpec(rate=0.5, permanent=True),
+        replica_partition=FaultSpec(rate=0.5, permanent=True),
+    ),
+)
+GRID_REPLICAS = tuple(f"s{s}r{r}" for s in range(4) for r in range(3))
+
+
+def hashed_window(faults, channel, spec, horizon_ms, duration_ms, replica_id):
+    """A replica's window straight from the pure hash (no memo)."""
+    if not (spec.active and faults._unit(channel, "hit", replica_id) < spec.rate):
+        return None
+    start = faults._unit(channel, "start", replica_id) * horizon_ms
+    return (start, start + duration_ms)
+
+
+@pytest.mark.parametrize("plan", GRID_PLANS, ids=lambda p: f"seed{p.seed}")
+def test_memoised_fault_schedule_matches_fresh_instances(plan):
+    """One long-lived ``ServiceFaults`` (its per-replica memo warm)
+    answers every schedule question exactly as a fresh instance does,
+    and as the hash defines it; key-level ``injected`` counts still
+    tick once per faulted call."""
+    memo = ServiceFaults(plan)
+    instants = {0.0, 10_000.0}
+    for replica_id in GRID_REPLICAS:
+        fresh = ServiceFaults(plan)
+        crash = hashed_window(
+            fresh, "crash", plan.replica_crash,
+            plan.crash_horizon_ms, plan.crash_duration_ms, replica_id,
+        )
+        partition = hashed_window(
+            fresh, "partition", plan.replica_partition,
+            plan.partition_horizon_ms, plan.partition_duration_ms, replica_id,
+        )
+        assert fresh.crash_window(replica_id) == crash
+        assert fresh.partition_window(replica_id) == partition
+        for window in (crash, partition):
+            if window is not None:
+                for edge in window + (window[1] + plan.catchup_ms,):
+                    instants.update((edge - 0.5, edge, edge + 0.5))
+    for replica_id in GRID_REPLICAS:
+        for question in ("crash_window", "partition_window", "slow_factor"):
+            assert getattr(memo, question)(replica_id) == getattr(
+                ServiceFaults(plan), question
+            )(replica_id)
+        for at_ms in sorted(instants):
+            for question in ("available", "next_failure", "catchup_factor"):
+                assert getattr(memo, question)(replica_id, at_ms) == getattr(
+                    ServiceFaults(plan), question
+                )(replica_id, at_ms)
+    assert memo.injected == 0
+    faulted = 0
+    for replica_id in GRID_REPLICAS:
+        for i in range(20):
+            key = f"url:http://host{i}.example/"
+            for _ in range(2):
+                fresh = ServiceFaults(plan)
+                assert memo.spike_ms(key, replica_id) == fresh.spike_ms(
+                    key, replica_id
+                )
+                assert memo.cache_lost(key, replica_id) == fresh.cache_lost(
+                    key, replica_id
+                )
+                faulted += fresh.injected
+    assert memo.injected == faulted
+    assert memo.transitions(GRID_REPLICAS) == (
+        ServiceFaults(plan).transitions(GRID_REPLICAS)
+    )
+
+
+def test_fault_schedule_memo_is_bounded():
+    from repro.service.faults import _SCHEDULE_MEMO_CAP
+
+    plan = GRID_PLANS[1]
+    faults = ServiceFaults(plan)
+    for i in range(_SCHEDULE_MEMO_CAP + 100):
+        replica_id = f"r{i}"
+        assert faults.crash_window(replica_id) == (
+            ServiceFaults(plan).crash_window(replica_id)
+        )
+        assert len(faults._schedules) <= _SCHEDULE_MEMO_CAP
+
+
 # -- router policies and quotas --------------------------------------------------
 
 
@@ -510,6 +793,24 @@ def test_tenant_quotas_throttle_only_metered_tenants(service_index):
     quotas = TenantQuotas({"vip": (10.0, 2.0)})
     assert quotas.admit("anonymous", 0.0)  # unmetered passes untouched
     assert quotas.admit("vip", 0.0)
+
+
+def test_event_scan_breaks_deadline_ties_by_replica_position(service_index):
+    """Batches due at one instant flush lowest replica position first,
+    and a later deadline never wins over an earlier one."""
+    from repro.service.cluster import _P_DEADLINE
+
+    svc = ClusterService(
+        service_index, cluster=ClusterConfig(n_shards=2, replicas_per_shard=2)
+    )
+    svc.serve([])
+    request = mixed_workload(service_index, n=1)[0]
+    svc._all_replicas[0].batcher.add(request, 6.0)
+    for position in (3, 1, 2):
+        svc._all_replicas[position].batcher.add(request, 5.0)
+    assert svc._next_event() == (
+        5.0 + svc.config.max_wait_ms, _P_DEADLINE, 1
+    )
 
 
 # -- metrics fold ----------------------------------------------------------------

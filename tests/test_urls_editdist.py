@@ -1,5 +1,8 @@
 """Tests for repro.urls.editdist."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.urls.editdist import edit_distance, unique_neighbor, within_distance
 
 
@@ -86,3 +89,54 @@ class TestUniqueNeighbor:
 
     def test_empty_candidates(self):
         assert unique_neighbor("x", []) is None
+
+
+def reference_unique_neighbor(target, candidates, distance=1):
+    """The original definition: banded filter, then the full DP."""
+    found = None
+    for candidate in candidates:
+        if candidate == target:
+            continue
+        if not within_distance(target, candidate, distance):
+            continue
+        if edit_distance(target, candidate) != distance:
+            continue
+        if found is not None:
+            return None
+        found = candidate
+    return found
+
+
+#: Short strings over a tiny alphabet, so neighbours at small distances
+#: (and ties between several of them) are common.
+near_strings = st.text(alphabet="ab/.", max_size=7)
+
+
+class TestUniqueNeighborDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        target=near_strings,
+        candidates=st.lists(near_strings, max_size=8),
+        distance=st.integers(min_value=-1, max_value=4),
+    )
+    def test_matches_full_dp_definition(self, target, candidates, distance):
+        assert unique_neighbor(target, candidates, distance) == (
+            reference_unique_neighbor(target, candidates, distance)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(target=near_strings, distance=st.integers(0, 3), data=st.data())
+    def test_neighbors_at_exact_distance(self, target, distance, data):
+        """Candidates built by ``distance`` edits, plus decoys."""
+        candidate = target
+        for _ in range(distance):
+            position = data.draw(st.integers(0, len(candidate)))
+            candidate = (
+                candidate[:position]
+                + data.draw(st.sampled_from("abxy"))
+                + candidate[position:]
+            )
+        pool = [candidate, target, target + "zz"]
+        assert unique_neighbor(target, pool, distance) == (
+            reference_unique_neighbor(target, pool, distance)
+        )
