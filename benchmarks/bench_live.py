@@ -215,7 +215,7 @@ def test_generation_swap_latency(benchmark, bench_out, pipeline):
     def run(schedule):
         service = LinkStatusService(g0.index)
         start = time.perf_counter()
-        result = service.serve(requests, mode="serial", swaps=schedule)
+        result = service.serve(requests, swaps=schedule)
         return result, (time.perf_counter() - start) * 1000.0
 
     baseline, baseline_ms = run(None)

@@ -219,7 +219,7 @@ def test_rolling_vs_atomic_swap(benchmark, bench_out, pipeline):
         service = LinkStatusService(g0.index)
         schedule = _delta_schedule(publisher, requests, drain)
         start = time.perf_counter()
-        result = service.serve(requests, mode="serial", swaps=schedule)
+        result = service.serve(requests, swaps=schedule)
         return result, (time.perf_counter() - start) * 1000.0
 
     atomic, atomic_ms = run(False)
@@ -306,7 +306,7 @@ def test_rebalance_pause(benchmark, bench_out, pipeline):
     def run(swaps):
         service = make_cluster()
         start = time.perf_counter()
-        result = service.serve(requests, mode="serial", swaps=swaps)
+        result = service.serve(requests, swaps=swaps)
         return result, (time.perf_counter() - start) * 1000.0
 
     baseline, baseline_ms = run(None)

@@ -162,7 +162,7 @@ def test_service_under_load(benchmark, bench_out, service_index, level):
     def run():
         service = LinkStatusService(service_index, CONFIG)
         start = time.perf_counter()
-        result = service.serve(workload, mode="serial")
+        result = service.serve(workload)
         wall = time.perf_counter() - start
         return result, wall
 
@@ -221,7 +221,7 @@ def test_cluster_replica_scaling(
     def run():
         service = ClusterService(service_index, CONFIG, cluster_config)
         start = time.perf_counter()
-        result = service.serve(workload, mode="serial")
+        result = service.serve(workload)
         wall = time.perf_counter() - start
         return result, wall
 

@@ -7,11 +7,9 @@ Usage::
     --requests N      requests per load level (default 5000)
     --rps R           service capacity, token-bucket rate (default 2000)
     --levels L,L,...  offered-load multiples of --rps (default 0.5,1,2,4)
-    --mode M          serial | thread (default serial; both answer
-                      identically — try it)
     --spike-rate R    inject index latency spikes at per-key rate R
-    --shards N        domain shards; >1 serves through the cluster tier
-    --replicas R      replicas per shard; >1 serves through the cluster
+    --shards N        domain shards (default 1: the single node)
+    --replicas R      replicas per shard (default 1)
     --policy P        round_robin | least_outstanding | power_of_two
     --crash-rate R    per-replica crash probability (cluster chaos)
     --pattern P       poisson | flash | diurnal arrival process
@@ -49,7 +47,6 @@ from repro.service import (
     ClusterConfig,
     ClusterService,
     LinkStatusIndex,
-    LinkStatusService,
     ServerConfig,
     ServiceFaultPlan,
     WorkloadConfig,
@@ -72,7 +69,6 @@ def parse_args(argv):
     parser.add_argument("--requests", type=int, default=5000)
     parser.add_argument("--rps", type=float, default=2000.0)
     parser.add_argument("--levels", default="0.5,1,2,4")
-    parser.add_argument("--mode", choices=("serial", "thread"), default="serial")
     parser.add_argument("--spike-rate", type=float, default=0.0)
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--replicas", type=int, default=1)
@@ -138,25 +134,20 @@ def main(argv=None) -> int:
             ),
         )
         audit = AuditLog() if args.audit_log else None
-        if clustered:
-            service = ClusterService(
-                index,
-                config,
-                ClusterConfig(
-                    n_shards=args.shards,
-                    replicas_per_shard=args.replicas,
-                    policy=args.policy,
-                ),
-                tracer=tracer,
-                faults=faults,
-                audit=audit,
-            )
-        else:
-            service = LinkStatusService(
-                index, config, tracer=tracer, faults=faults, audit=audit
-            )
+        service = ClusterService(
+            index,
+            config,
+            ClusterConfig(
+                n_shards=args.shards,
+                replicas_per_shard=args.replicas,
+                policy=args.policy,
+            ),
+            tracer=tracer,
+            faults=faults,
+            audit=audit,
+        )
         wall_start = time.perf_counter()
-        result = service.serve(workload, mode=args.mode)
+        result = service.serve(workload)
         wall = time.perf_counter() - wall_start
         print()
         print(f"== offered {args.rps * level:g} rps ({level:g}x capacity) ==")

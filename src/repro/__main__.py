@@ -171,7 +171,6 @@ def _cmd_serve(args) -> int:
         AuditLog,
         ClusterConfig,
         ClusterService,
-        LinkStatusService,
         ServerConfig,
         ServiceFaultPlan,
         WorkloadConfig,
@@ -202,24 +201,18 @@ def _cmd_serve(args) -> int:
     clustered = args.shards > 1 or args.replicas > 1
     tracer = Tracer() if args.trace else None
     audit = AuditLog() if (args.audit_log or args.slo) else None
-    if clustered:
-        service = ClusterService(
-            index,
-            config,
-            ClusterConfig(
-                n_shards=args.shards,
-                replicas_per_shard=args.replicas,
-                policy=args.policy,
-            ),
-            faults=faults,
-            tracer=tracer,
-            audit=audit,
-        )
-    else:
-        service = LinkStatusService(
-            index, config, faults=faults, tracer=tracer, audit=audit
-        )
-    result = service.serve(workload, mode=args.mode)
+    result = ClusterService(
+        index,
+        config,
+        ClusterConfig(
+            n_shards=args.shards,
+            replicas_per_shard=args.replicas,
+            policy=args.policy,
+        ),
+        faults=faults,
+        tracer=tracer,
+        audit=audit,
+    ).serve(workload)
     print()
     print(result.summary())
     if clustered:
@@ -548,9 +541,6 @@ def main(argv: list[str] | None = None) -> int:
                 help="offered load in rps (default: equal to --rps)",
             )
             cmd.add_argument(
-                "--mode", choices=("serial", "thread"), default="serial"
-            )
-            cmd.add_argument(
                 "--spike-rate",
                 type=float,
                 default=0.0,
@@ -560,13 +550,13 @@ def main(argv: list[str] | None = None) -> int:
                 "--shards",
                 type=int,
                 default=1,
-                help="domain shards (>1 serves through the cluster tier)",
+                help="domain shards (default 1: the single node)",
             )
             cmd.add_argument(
                 "--replicas",
                 type=int,
                 default=1,
-                help="replicas per shard (>1 serves through the cluster tier)",
+                help="replicas per shard (default 1)",
             )
             cmd.add_argument(
                 "--policy",

@@ -192,8 +192,8 @@ def replica_attribution(spans: list[Span]) -> dict[str, ReplicaCost]:
     (coalesced) spans carry only ``replica``, so each replica's shard
     is learned from its carriers. Front-door sheds have neither and
     aggregate under the pseudo-replica ``"(front door)"``. Returns an
-    empty dict for single-node traces (no replica-tagged spans), which
-    is how callers detect there is no cluster section to render.
+    empty dict for traces with no replica-tagged spans, which is how
+    callers detect there is no cluster section to render.
     """
     replicas: dict[str, ReplicaCost] = {}
     tagged = False

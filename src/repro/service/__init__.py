@@ -21,16 +21,15 @@ The stack, front to back:
   cache;
 - :class:`~repro.service.index.LinkStatusIndex` — the immutable,
   content-hash-versioned snapshot built from a completed study;
-- :class:`~repro.service.server.LinkStatusService` — the event loop
-  tying them together, in serial or thread-pool mode, traced via
-  :mod:`repro.obs` and chaos-testable via
-  :class:`~repro.service.faults.ServiceFaultPlan`;
-- :class:`~repro.service.cluster.ClusterService` — the replicated,
-  sharded tier: the index rendezvous-partitioned by registrable
-  domain into N shards × R replicas behind a deterministic router
-  (:mod:`repro.service.router`), byte-identical to the single node
-  when faults are off and degrading only in latency and shed rate
-  under replica-level chaos.
+- :class:`~repro.service.cluster.ClusterService` — the one serving
+  event loop tying them together: the index rendezvous-partitioned
+  by registrable domain into N shards × R replicas behind a
+  deterministic router (:mod:`repro.service.router`), byte-identical
+  across topologies when faults are off and degrading only in latency
+  and shed rate under replica-level chaos; traced via :mod:`repro.obs`
+  and chaos-testable via :class:`~repro.service.faults.ServiceFaultPlan`;
+- :class:`~repro.service.server.LinkStatusService` — the single node,
+  that loop at one shard × one replica.
 """
 
 from .admission import AdmissionController, TokenBucket
@@ -38,7 +37,16 @@ from .audit import AuditLog, AuditRecord
 from .audit import read_jsonl as read_audit_jsonl
 from .batcher import Batch, BatchItem, MicroBatcher
 from .cache import ResultCache
-from .cluster import ClusterConfig, ClusterResult, ClusterService, ShardIndex
+from .cluster import (
+    ClusterConfig,
+    ClusterResult,
+    ClusterService,
+    Response,
+    ServerConfig,
+    ServiceResult,
+    ShardIndex,
+    key_latency_ms,
+)
 from .faults import ReplicaFaultEvent, ServiceFaultPlan, ServiceFaults
 from .index import LinkStatusEntry, LinkStatusIndex
 from .reconfig import (
@@ -62,13 +70,7 @@ from .router import (
     rendezvous_score,
     routing_key,
 )
-from .server import (
-    LinkStatusService,
-    Response,
-    ServerConfig,
-    ServiceResult,
-    key_latency_ms,
-)
+from .server import LinkStatusService
 from .workload import PATTERNS, Request, WorkloadConfig, generate_workload
 
 __all__ = [

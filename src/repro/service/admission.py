@@ -13,8 +13,8 @@ past its declared capacity. This module is that declaration:
 
 Everything is a pure function of arrival times and configuration, so
 at any offered load the *set* of shed request ids — not just their
-count — is identical across runs and across serial/thread-pool server
-modes. That is the property the overload tests pin.
+count — is identical across runs and across serving topologies.
+That is the property the overload tests pin.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ should share one computation, not race to repeat it.
 :class:`MicroBatcher` accumulates admitted requests into a batch that
 flushes when it reaches ``max_batch`` items or when ``max_wait_ms``
 has elapsed (virtual time) since the batch opened, whichever comes
-first. A flushed :class:`Batch` exposes :meth:`Batch.groups`: its
+first. A flushed :class:`Batch` carries :attr:`Batch.groups`: its
 items grouped by query key in first-arrival order — one group is one
 index computation, however many requests ride it.
 
@@ -44,26 +44,21 @@ class BatchItem:
 
 @dataclass(frozen=True, slots=True)
 class Batch:
-    """A flushed batch: its items and the instant it flushed."""
+    """A flushed batch: its items and the instant it flushed.
+
+    ``groups`` holds the items grouped by query key, in first-arrival
+    order. Each group is one coalesced computation: the first item is
+    the *carrier* (it owns the index-lookup span), the rest share its
+    result.
+    """
 
     items: tuple[BatchItem, ...]
     opened_ms: float
     flush_ms: float
+    groups: dict[str, list[BatchItem]]
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def groups(self) -> dict[str, list[BatchItem]]:
-        """Items grouped by query key, in first-arrival order.
-
-        Each group is one coalesced computation: the first item is
-        the *carrier* (it owns the index-lookup span), the rest share
-        its result.
-        """
-        grouped: dict[str, list[BatchItem]] = {}
-        for item in self.items:
-            grouped.setdefault(item.request.key, []).append(item)
-        return grouped
 
 
 class MicroBatcher:
@@ -162,10 +157,14 @@ class MicroBatcher:
         return items
 
     def _flush(self, flush_ms: float) -> Batch:
+        groups: dict[str, list[BatchItem]] = {}
+        for item in self._pending:
+            groups.setdefault(item.request.key, []).append(item)
         batch = Batch(
             items=tuple(self._pending),
             opened_ms=self._opened_ms,
             flush_ms=flush_ms,
+            groups=groups,
         )
         self._pending.clear()
         self._opened_ms = self.deadline_ms = None
@@ -174,8 +173,7 @@ class MicroBatcher:
         self.metrics.histogram(
             "service.batch.size", BATCH_SIZE_BOUNDS
         ).observe(float(len(batch)))
-        unique = len({item.request.key for item in batch.items})
         self.metrics.counter("service.batch.coalesced").inc(
-            len(batch) - unique
+            len(batch) - len(groups)
         )
         return batch

@@ -1,52 +1,59 @@
-"""The replicated, sharded service tier: N shards × R replicas.
+"""The serving event loop: one index served by N shards × R replicas.
 
-:class:`ClusterService` scales :class:`~repro.service.server.
-LinkStatusService` from one process-equivalent to a simulated fleet.
-The index is partitioned **by registrable domain** with rendezvous
-hashing (:mod:`repro.service.router`) into ``n_shards`` partitions;
-each shard runs ``replicas_per_shard`` replicas, and every replica is
-a full serving stack of its own — micro-batcher, LRU+TTL result
-cache, per-replica metrics registry — reading an immutable
-:class:`ShardIndex` view of its partition.
+:class:`ClusterService` turns a :class:`~repro.service.index.
+LinkStatusIndex` into a request-serving system. The index is
+partitioned **by registrable domain** with rendezvous hashing
+(:mod:`repro.service.router`) into ``n_shards`` partitions; each shard
+runs ``replicas_per_shard`` replicas, and every replica is a full
+serving stack of its own — micro-batcher, LRU+TTL result cache,
+per-replica metrics registry — reading an immutable
+:class:`ShardIndex` view of its partition. The single-node
+:class:`~repro.service.server.LinkStatusService` is this loop at one
+shard × one replica.
 
 The whole fleet runs on one discrete-event loop over the service's
-virtual millisecond clock, which is what makes replica-level chaos
-*exactly* reproducible: admission releases, batch deadlines, replica
-crash/recovery transitions, and re-dispatches of in-flight requests
-all interleave at computed instants under a fixed tie-break order
-(fault transitions, then batch deadlines in replica order, then
-re-dispatches, then admission releases).
+virtual millisecond clock: admission releases, batch deadlines,
+reconfigurations, replica crash/recovery transitions, and
+re-dispatches of in-flight requests all interleave at computed
+instants under a fixed tie-break order (fault transitions, then batch
+deadlines in replica order, then reconfigurations, then
+re-dispatches, then admission releases). Every response — status,
+body, *and* latency — is therefore a pure function of ``(index,
+config, workload, faults)``.
 
 The contract the differential tests pin:
 
-- **Faults off** — the cluster's answer surface
-  (:meth:`~repro.service.server.Response.to_wire`: status, body,
-  index version, per request) and its shed set are byte-identical to
-  the single-node service for *any* shard/replica count, and a
-  1-shard × 1-replica cluster reproduces the single-node run
-  *including timing*.
+- **Faults off** — the answer surface (:meth:`Response.to_wire`:
+  status, body, index version, per request) and the shed set are
+  byte-identical for *any* shard/replica count; only timing, which
+  follows how requests batch per replica, moves with the topology.
 - **Faults on** — replica crashes, partitions, and slow replicas
   degrade latency and shed rate only: every request both runs serve
   gets the same bytes, and fault runs never invent answers — they
   only re-dispatch (latency) or give up after
   ``max_dispatch_attempts`` (a 503 in the shed set).
 
-Admission is global (one token bucket + bounded queue at the router,
-identical to the single-node front door — that is what keeps the
-faults-off shed set equal), with optional per-tenant quota buckets in
-front of it. Per-replica accounting folds into the cluster registry
-twice: once raw (the fleet rollup) and once under
-``service.replica.<rid>.`` (the per-replica families), so the rollup
-is exactly the sum of the families.
+Admission is global (one token bucket + bounded queue at the router
+— that is what keeps the faults-off shed set equal across
+topologies), with optional per-tenant quota buckets in front of it.
+Per-replica accounting folds into the service registry twice: once
+raw (the fleet rollup) and once under ``service.replica.<rid>.`` (the
+per-replica families), so the rollup is exactly the sum of the
+families. Spans, exemplars, and audit records expand off the serving
+path from a compact observation log, on first read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
-from dataclasses import dataclass, field
+import json
+from contextlib import nullcontext
+from dataclasses import dataclass
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import DEFAULT_LATENCY_BOUNDS_MS, MetricsRegistry
 from ..obs.trace import Tracer
+from ..reporting.cdf import ecdf
 from .admission import AdmissionController, TokenBucket
 from .audit import AuditLog
 from .batcher import Batch, MicroBatcher
@@ -55,27 +62,274 @@ from .faults import ServiceFaultPlan, ServiceFaults
 from .index import LinkStatusEntry, LinkStatusIndex
 from .reconfig import (
     RECONFIG_LAG_BOUNDS_MS,
-    DeltaApply,
     GenerationSwap,
     RebalancePlan,
-    ReconfigError,
     ReconfigEvent,
     Reconfiguration,
     apply_delta,
     normalize_schedule,
 )
 from .router import POLICIES, ReplicaPicker, TenantQuotas, rendezvous_owner, routing_key
-from .server import (
-    LATENCY_BOUNDS_MS,
-    Response,
-    ServerConfig,
-    ServiceResult,
-    answer,
-    key_latency_ms,
-)
 from .workload import Request
 
-__all__ = ["ClusterConfig", "ClusterResult", "ClusterService", "ShardIndex"]
+__all__ = [
+    "LATENCY_BOUNDS_MS",
+    "ClusterConfig",
+    "ClusterResult",
+    "ClusterService",
+    "Response",
+    "ServerConfig",
+    "ServiceResult",
+    "ShardIndex",
+    "answer",
+    "key_latency_ms",
+]
+
+_UNIT_DENOM = float(2**64)
+
+#: Histogram bounds for virtual response latency, in milliseconds —
+#: the service-tier preset from :mod:`repro.obs.metrics` (dense
+#: through the single-digit-ms range one lookup lives in).
+LATENCY_BOUNDS_MS: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS_MS
+
+
+@dataclass(frozen=True)
+class ServerConfig:
+    """Capacity and policy knobs for one service instance."""
+
+    #: Token-bucket steady rate (admissions per virtual second).
+    rate_rps: float = 2_000.0
+    #: Token-bucket burst capacity.
+    burst: int = 16
+    #: Bounded-queue depth; arrivals past it are shed with a 429.
+    queue_limit: int = 64
+    #: Micro-batch flush threshold.
+    max_batch: int = 8
+    #: Micro-batch deadline (virtual ms) — the tail-latency promise.
+    max_wait_ms: float = 2.0
+    #: Result-cache capacity (entries) and TTL (virtual ms).
+    cache_capacity: int = 1_024
+    cache_ttl_ms: float | None = 60_000.0
+    #: Base virtual cost of one index lookup; each key pays a
+    #: deterministic multiplier in [0.5, 1.5) derived from its hash.
+    index_latency_ms: float = 4.0
+    #: Virtual cost of serving a batch-time cache hit.
+    cache_hit_latency_ms: float = 0.5
+
+
+@dataclass(frozen=True, slots=True)
+class Response:
+    """One served request: status, body, and exact virtual timing.
+
+    ``source`` says how the answer was produced: ``"index"`` (carrier
+    of a fresh lookup), ``"coalesced"`` (shared a batchmate's lookup),
+    ``"cache"`` (batch-time cache hit), or ``"shed"`` (429 before any
+    computation).
+    """
+
+    request_id: int
+    status: int
+    body: object
+    arrival_ms: float
+    start_ms: float
+    completion_ms: float
+    source: str
+    index_version: str
+
+    @property
+    def latency_ms(self) -> float:
+        """Arrival-to-completion virtual latency."""
+        return self.completion_ms - self.arrival_ms
+
+    @property
+    def shed(self) -> bool:
+        """Whether the request was rejected rather than answered.
+
+        429 is admission control (rate/quota); 503 is "no replica of
+        the owning shard recovered in time", only under replica chaos.
+        """
+        return self.status in (429, 503)
+
+    def to_wire(self) -> bytes:
+        """The canonical serialized answer — what equivalence means.
+
+        Timing fields are deliberately excluded: the answer surface a
+        client sees is ``(status, body, index version)``, and that is
+        the surface the differential tests compare byte-for-byte
+        across topologies and reconfigurations. Latency is the
+        *documented* degradation dimension, not part of the answer.
+        """
+        return json.dumps(
+            {
+                "rid": self.request_id,
+                "status": self.status,
+                "body": self.body,
+                "index_version": self.index_version,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+
+
+@dataclass
+class ServiceResult:
+    """Everything one serving run produced, plus derived rates."""
+
+    responses: list[Response]
+    metrics: MetricsRegistry
+    index_version: str
+    #: Every generation that served during the run, in install order
+    #: (initial index first, then each swap). Single-generation runs
+    #: carry the one version; ``index_version`` stays the *final*
+    #: generation — the one a client connecting now would see.
+    index_versions: tuple[str, ...] = ()
+    #: Every applied reconfiguration (swap/delta/rebalance), in apply
+    #: order, with scheduled vs applied instants — the drain lag the
+    #: SLO layer grades via ``events_from_reconfigs``.
+    reconfig_events: tuple[ReconfigEvent, ...] = ()
+
+    @property
+    def offered(self) -> int:
+        return len(self.responses)
+
+    @property
+    def completed(self) -> list[Response]:
+        """Responses that were actually served (not shed)."""
+        return [r for r in self.responses if not r.shed]
+
+    @property
+    def shed_ids(self) -> tuple[int, ...]:
+        """Request ids rejected by admission control, in id order."""
+        return tuple(r.request_id for r in self.responses if r.shed)
+
+    @property
+    def shed_rate(self) -> float:
+        return len(self.shed_ids) / self.offered if self.offered else 0.0
+
+    @property
+    def duration_ms(self) -> float:
+        """Virtual makespan: first arrival to last completion."""
+        if not self.responses:
+            return 0.0
+        start = min(r.arrival_ms for r in self.responses)
+        end = max(r.completion_ms for r in self.responses)
+        return max(end - start, 0.0)
+
+    @property
+    def throughput_rps(self) -> float:
+        """Served requests per virtual second of makespan."""
+        duration_s = self.duration_ms / 1000.0
+        return len(self.completed) / duration_s if duration_s > 0 else 0.0
+
+    def latency_quantile(self, q: float) -> float:
+        """Virtual latency quantile over served requests (exact ECDF)."""
+        completed = self.completed
+        if not completed:
+            return 0.0
+        return ecdf([r.latency_ms for r in completed]).quantile(q)
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Share of batch-time cache reads that hit."""
+        hits = self.metrics.counter("service.cache.hits").value
+        misses = self.metrics.counter("service.cache.misses").value
+        total = hits + misses
+        return hits / total if total else 0.0
+
+    def as_dict(self) -> dict:
+        """JSON-ready digest (what the benchmark records per level)."""
+        return {
+            "index_version": self.index_version,
+            "offered": self.offered,
+            "served": len(self.completed),
+            "shed": len(self.shed_ids),
+            "shed_rate": round(self.shed_rate, 6),
+            "throughput_rps": round(self.throughput_rps, 3),
+            "p50_ms": round(self.latency_quantile(0.5), 6),
+            "p99_ms": round(self.latency_quantile(0.99), 6),
+            "cache_hit_rate": round(self.cache_hit_rate, 6),
+            "index_lookups": self.metrics.counter(
+                "service.index.lookups"
+            ).int_value,
+            "coalesced": self.metrics.counter(
+                "service.batch.coalesced"
+            ).int_value,
+        }
+
+    def summary(self) -> str:
+        """Multi-line digest for logs and the demo CLI."""
+        return "\n".join(
+            [
+                (
+                    f"service index {self.index_version}: "
+                    f"{self.offered} offered, {len(self.completed)} served, "
+                    f"{len(self.shed_ids)} shed "
+                    f"({self.shed_rate:.1%})"
+                ),
+                (
+                    f"latency p50/p99 {self.latency_quantile(0.5):.2f}/"
+                    f"{self.latency_quantile(0.99):.2f} ms (virtual); "
+                    f"throughput {self.throughput_rps:.0f} rps"
+                ),
+                (
+                    f"cache hit rate {self.cache_hit_rate:.1%}; "
+                    f"index lookups "
+                    f"{self.metrics.counter('service.index.lookups').int_value}; "
+                    f"coalesced "
+                    f"{self.metrics.counter('service.batch.coalesced').int_value}"
+                ),
+            ]
+        )
+
+
+def key_latency_ms(version: str, key: str, base_ms: float) -> float:
+    """Virtual cost of one index lookup for ``key`` (pre-fault).
+
+    Base cost times a hash-derived multiplier in [0.5, 1.5): the
+    latency *distribution* is non-degenerate (p50 ≠ p99) while each
+    key's cost is a pure function of the index version. Every replica
+    serves under its parent snapshot's version, so it charges the same
+    cost per key at any topology, which is what keeps the faults-off
+    latency surface topology-independent.
+    """
+    digest = hashlib.sha256(f"{version}:{key}".encode("utf-8")).digest()
+    unit = int.from_bytes(digest[:8], "big") / _UNIT_DENOM
+    return base_ms * (0.5 + unit)
+
+
+def answer(index: LinkStatusIndex, kind: str, target: str) -> tuple[int, object]:
+    """The pure query function the service batches and caches.
+
+    Returns ``(status, body)``; it only reads the immutable index.
+    """
+    if kind == "url":
+        entry = index.lookup(target)
+        if entry is None:
+            return 404, None
+        return 200, entry.to_body()
+    if kind == "domain":
+        entries = index.by_domain(target)
+        if not entries:
+            return 404, None
+        buckets: dict[str, int] = {}
+        for entry in entries:
+            buckets[entry.bucket] = buckets.get(entry.bucket, 0) + 1
+        return 200, {
+            "domain": target,
+            "urls": [entry.url for entry in entries],
+            "buckets": buckets,
+        }
+    if kind == "bucket_counts":
+        return 200, index.bucket_counts()
+    if kind == "quantile":
+        metric, _, q_text = target.rpartition(":")
+        try:
+            value = index.quantile(metric, float(q_text))
+        except (KeyError, ValueError):
+            return 400, None
+        return 200, {"metric": metric, "q": float(q_text), "value": value}
+    return 400, None
+
 
 #: Queries whose shard :meth:`ClusterService.shard_for` memoises. Unknown
 #: URLs are often unique hosts, so the memo restarts when full instead
@@ -92,7 +346,7 @@ class ShardIndex:
     aggregates next to its (large) partition. The shard serves under
     the **parent's** version string: answers are logically answers of
     the whole snapshot, and per-key virtual latency hashes stay
-    identical to the single-node service's.
+    identical at every topology.
     """
 
     __slots__ = ("shard_id", "_parent", "_by_url", "_by_domain", "_entries")
@@ -167,7 +421,7 @@ class ClusterConfig:
     #: Extra virtual ms an index lookup pays per request already
     #: outstanding on its replica at flush — the load signal that makes
     #: replica scaling visible in p99. 0 (the default) preserves exact
-    #: faults-off latency equivalence with the single-node service.
+    #: faults-off latency equivalence across topologies.
     congestion_ms_per_inflight: float = 0.0
     #: Per-tenant admission quotas: tenant -> (rate_rps, burst).
     quotas: dict[str, tuple[float, float]] | None = None
@@ -345,6 +599,8 @@ class ClusterService:
             else None
         )
         self._picker = ReplicaPicker(cluster.policy, seed=cluster.router_seed)
+        #: One replica per shard: the picker has no choice to make.
+        self._solo_replicas = cluster.replicas_per_shard == 1
         #: Whether anything reads replica load: the round-robin policy
         #: and a zero congestion charge never do, so then completions
         #: are not tracked at all.
@@ -439,7 +695,7 @@ class ClusterService:
     def shard_for(self, kind: str, target: str) -> str:
         """The shard that owns one query (memoized rendezvous hash)."""
         if len(self.shard_ids) == 1:
-            # One shard owns every key (a rebalance can only target it).
+            # One shard owns every key (a one-shard tier never rebalances).
             return self.shard_ids[0]
         query = (kind, target)
         shard_id = self._route_memo.get(query)
@@ -453,52 +709,37 @@ class ClusterService:
             self._route_memo[query] = shard_id
         return shard_id
 
-    def _available_replicas(
-        self, shard_id: str, now_ms: float
-    ) -> list[_Replica]:
-        replicas = self.replicas[shard_id]
-        if self._faults is None:
-            return replicas
-        return [
-            replica
-            for replica in replicas
-            if self._faults.available(replica.replica_id, now_ms)
-        ]
-
     # -- the serve loop ----------------------------------------------------------
 
-    def serve(
-        self,
-        requests,
-        mode: str = "serial",
-        threads: int | None = None,
-        swaps=None,
-    ) -> ClusterResult:
+    def serve(self, requests, mode: str = "serial", swaps=None) -> ClusterResult:
         """Replay a workload against the fleet; return every response.
 
-        Same surface as the single-node ``serve``: ``mode`` is
-        ``"serial"`` or ``"thread"`` (identical responses either way),
-        responses come back in request-id order.
+        Responses come back in request-id order. ``mode`` must be
+        ``"serial"``, the only execution mode.
 
         ``swaps`` — optional reconfiguration schedule: legacy
         ``(at_ms, index)`` tuples or
         :class:`~repro.service.reconfig.Reconfiguration` instances
         (``GenerationSwap``, ``DeltaApply``, ``RebalancePlan``),
         validated up front by
-        :func:`~repro.service.reconfig.normalize_schedule`. Atomic
-        swaps force-flush every replica's open batch against its *old*
+        :func:`~repro.service.reconfig.normalize_schedule` (a typed
+        :class:`~repro.service.reconfig.ReconfigError` before the
+        replay starts). Each reconfiguration is an event on the
+        virtual clock, ordered after batch deadlines due at the same
+        instant and before re-dispatches and releases. Atomic swaps
+        force-flush every replica's open batch against its *old*
         shard view (in-flight requests finish on the generation they
         were admitted under), wipe every cache, and re-partition the
         new index into fresh shard views before the fleet answers from
         the new generation. Drained swaps move the front door at the
         scheduled instant but let each replica finish its queued batch
         under the old binding before rebinding — a per-replica rolling
-        cutover. Rebalances migrate routing keys between shards within
-        one generation via the same drain machinery. No response ever
-        mixes generations — the chaos differential tests assert this
-        under replica crash schedules.
+        cutover, bounded by ``max_wait_ms``. Rebalances migrate routing
+        keys between shards within one generation via the same drain
+        machinery. No response ever mixes generations — the chaos
+        differential tests assert this under replica crash schedules.
         """
-        if mode not in ("serial", "thread"):
+        if mode != "serial":
             raise ValueError(f"unknown serve mode {mode!r}")
         self._pending_reconfigs = normalize_schedule(
             swaps, self.index,
@@ -507,13 +748,6 @@ class ClusterService:
         self._drain_state = None
         self._reconfig_log = []
         self._versions_served = [self.index.version]
-        pool = None
-        if mode == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(
-                max_workers=threads if threads else self.config.threads
-            )
         responses: list[Response] = []
         #: re-dispatch queue: (at_ms, seq, attempt, request)
         self._redispatch: list[tuple[float, int, int, Request]] = []
@@ -541,25 +775,22 @@ class ClusterService:
             [] if (self.tracer is not None or self.audit is not None) else None
         )
         ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-        service_cm = (
+        root_cm = (
             self.tracer.span(
                 "service",
                 kind="service",
                 index_version=self.index.version,
-                mode=mode,
                 offered=len(ordered),
                 shards=self.cluster.n_shards,
                 replicas=self.cluster.replicas_per_shard,
                 policy=self.cluster.policy,
             )
             if self.tracer is not None
-            else None
+            else nullcontext()
         )
-        if service_cm is not None:
-            service_cm.__enter__()
-        try:
+        with root_cm as root:
             for request in ordered:
-                self._advance(request.arrival_ms, responses, pool)
+                self._advance(request.arrival_ms, responses)
                 if self._quotas is not None and not self._quotas.admit(
                     request.tenant, request.arrival_ms
                 ):
@@ -568,17 +799,10 @@ class ClusterService:
                     continue
                 verdict = self.admission.offer(request, request.arrival_ms)
                 if verdict == "admit":
-                    self._dispatch(
-                        request, request.arrival_ms, responses, pool
-                    )
+                    self._dispatch(request, request.arrival_ms, responses)
                 elif verdict == "shed":
                     self._shed(request, responses, status=429, source="shed")
-            self._advance(None, responses, pool)
-        finally:
-            if service_cm is not None:
-                service_cm.__exit__(None, None, None)
-            if pool is not None:
-                pool.shutdown(wait=True)
+            self._advance(None, responses)
         responses.sort(key=lambda r: r.request_id)
         if self._dispatches:
             self.metrics.counter("service.cluster.dispatches").inc(
@@ -590,9 +814,12 @@ class ClusterService:
             # surface is read first: the tracer's spans, the audit
             # log's records, and the registry's snapshot all trigger
             # the same once-only expansion. Captured by value so a
-            # later serve() on this instance cannot disturb it.
+            # later serve() on this instance cannot disturb it. The
+            # root span's id rides along: the expansion runs after
+            # that span has closed, under whatever span is open then.
             log, self._obs_log = self._obs_log, None
             blame, requeues = self._blame, self._requeues
+            root_id = root.span_id if root is not None else None
             expanded = False
 
             def materialize() -> None:
@@ -600,7 +827,7 @@ class ClusterService:
                 if expanded:
                     return
                 expanded = True
-                self._materialize_observations(log, blame, requeues)
+                self._materialize_observations(log, blame, requeues, root_id)
 
             if self.tracer is not None:
                 self.tracer.add_pending_source(materialize)
@@ -611,7 +838,6 @@ class ClusterService:
             responses=responses,
             metrics=self.metrics,
             index_version=self.index.version,
-            mode=mode,
             index_versions=tuple(self._versions_served),
             n_shards=self.cluster.n_shards,
             replicas_per_shard=self.cluster.replicas_per_shard,
@@ -637,40 +863,35 @@ class ClusterService:
 
         ``index`` identifies the event within its type: the replica's
         position for deadlines, zero otherwise. The fixed priority
-        order — transitions, deadlines, re-dispatches, releases —
-        resolves same-instant ties deterministically (and keeps the
-        single-node rule that a closing batch beats a token release).
+        order — transitions, deadlines, reconfigurations,
+        re-dispatches, releases — resolves same-instant ties
+        deterministically (a closing batch beats a token release).
+        Candidates are scanned in priority order, so a later one wins
+        only when strictly earlier.
         """
-        best: tuple[float, int, int] | None = None
+        best_ms, priority, index = None, 0, 0
         if self._pending_transitions:
-            best = (self._pending_transitions[0].at_ms, _P_TRANSITION, 0)
+            best_ms = self._pending_transitions[0].at_ms
         # The earliest deadline, lowest replica position on ties.
-        due, due_position = None, 0
         for position, batcher in enumerate(self._batchers):
             deadline = batcher.deadline_ms
-            if deadline is not None and (due is None or deadline < due):
-                due, due_position = deadline, position
-        if due is not None:
-            candidate = (due, _P_DEADLINE, due_position)
-            if best is None or candidate < best:
-                best = candidate
+            if deadline is not None and (best_ms is None or deadline < best_ms):
+                best_ms, priority, index = deadline, _P_DEADLINE, position
         if self._pending_reconfigs:
-            candidate = (self._pending_reconfigs[0].at_ms, _P_SWAP, 0)
-            if best is None or candidate < best:
-                best = candidate
+            at_ms = self._pending_reconfigs[0].at_ms
+            if best_ms is None or at_ms < best_ms:
+                best_ms, priority, index = at_ms, _P_SWAP, 0
         if self._redispatch:
-            candidate = (self._redispatch[0][0], _P_REDISPATCH, 0)
-            if best is None or candidate < best:
-                best = candidate
+            at_ms = self._redispatch[0][0]
+            if best_ms is None or at_ms < best_ms:
+                best_ms, priority, index = at_ms, _P_REDISPATCH, 0
         release = self.admission.next_release_ms()
-        if release is not None:
-            candidate = (release, _P_RELEASE, 0)
-            if best is None or candidate < best:
-                best = candidate
-        return best
+        if release is not None and (best_ms is None or release < best_ms):
+            best_ms, priority, index = release, _P_RELEASE, 0
+        return None if best_ms is None else (best_ms, priority, index)
 
     def _advance(
-        self, now_ms: float | None, responses: list[Response], pool
+        self, now_ms: float | None, responses: list[Response]
     ) -> None:
         """Run every due event in (time, priority) order up to
         ``now_ms`` (``None`` = run them all)."""
@@ -682,25 +903,25 @@ class ClusterService:
             if now_ms is not None and at_ms > now_ms:
                 return
             if priority == _P_TRANSITION:
-                self._apply_transition(responses, pool)
+                self._apply_transition(responses)
             elif priority == _P_DEADLINE:
                 replica = self._all_replicas[position]
                 batch = replica.batcher.flush_due(at_ms)
                 if batch is not None:
-                    self._execute(replica, batch, responses, pool)
+                    self._execute(replica, batch, responses)
             elif priority == _P_SWAP:
                 op = self._pending_reconfigs.pop(0)
-                self._begin_reconfig(op, responses, pool)
+                self._begin_reconfig(op, responses)
             elif priority == _P_REDISPATCH:
                 at, _, attempt, request = heapq.heappop(self._redispatch)
                 self._dispatch(
-                    request, at, responses, pool, attempt=attempt
+                    request, at, responses, attempt=attempt
                 )
             else:
                 request, ready_ms = self.admission.release_one()
-                self._dispatch(request, ready_ms, responses, pool)
+                self._dispatch(request, ready_ms, responses)
 
-    def _apply_transition(self, responses: list[Response], pool) -> None:
+    def _apply_transition(self, responses: list[Response]) -> None:
         """One replica state change: crash/partition onsets drain the
         replica's open batch back to the router; crashes also cold the
         cache. Recovery instants need no action — availability is a
@@ -711,9 +932,7 @@ class ClusterService:
         ).inc()
         if event.kind not in ("crash", "partition"):
             return
-        replica = next(
-            r for r in self._all_replicas if r.replica_id == event.replica_id
-        )
+        replica = self._replica_by_id[event.replica_id]
         if event.kind == "crash":
             replica.wipe_cache()
         cause = f"{event.replica_id}:{event.kind}"
@@ -726,7 +945,7 @@ class ClusterService:
             self._finish_replica_drain(replica, event.at_ms)
 
     def _begin_reconfig(
-        self, op: Reconfiguration, responses: list[Response], pool
+        self, op: Reconfiguration, responses: list[Response]
     ) -> None:
         """Apply one scheduled reconfiguration at ``op.at_ms``.
 
@@ -737,9 +956,9 @@ class ClusterService:
         schedule order.
         """
         if self._drain_state is not None:
-            self._force_finish_drain(op.at_ms, responses, pool)
+            self._force_finish_drain(op.at_ms, responses)
         if isinstance(op, RebalancePlan):
-            self._apply_rebalance(op, responses, pool)
+            self._apply_rebalance(op, responses)
             return
         old_version = self.index.version
         new_index = (
@@ -759,7 +978,7 @@ class ClusterService:
             for replica in self._all_replicas:
                 batch = replica.batcher.flush_now(op.at_ms)
                 if batch is not None:
-                    self._execute(replica, batch, responses, pool)
+                    self._execute(replica, batch, responses)
             self._install_generation(new_index)
             for replica in self._all_replicas:
                 replica.index = self.shards[replica.shard_id]
@@ -777,29 +996,14 @@ class ClusterService:
         # generations.
         self._install_generation(new_index)
         binds: dict[str, tuple[ShardIndex, bool]] = {}
-        pending: set[str] = set()
         for replica in self._all_replicas:
             view = self.shards[replica.shard_id]
             if replica.batcher.deadline_ms is not None:
                 binds[replica.replica_id] = (view, True)
-                pending.add(replica.replica_id)
             else:
                 replica.index = view
                 replica.wipe_cache()
-        if not pending:
-            self._record_reconfig(op, old_version, new_index.version,
-                                  op.at_ms, drained=0)
-            return
-        self._drain_state = {
-            "op": op,
-            "binds": binds,
-            "pending": pending,
-            "last_ms": op.at_ms,
-            "drained": 0,
-            "from": old_version,
-            "to": new_index.version,
-            "moved": 0,
-        }
+        self._start_drain(op, binds, old_version, new_index.version)
 
     def _install_generation(self, new_index: LinkStatusIndex) -> None:
         """Move the front door to ``new_index`` (no replica rebinds)."""
@@ -809,7 +1013,7 @@ class ClusterService:
         self.metrics.counter("service.swaps").inc()
 
     def _apply_rebalance(
-        self, op: RebalancePlan, responses: list[Response], pool
+        self, op: RebalancePlan, responses: list[Response]
     ) -> None:
         """Migrate ``op.moves`` routing keys between shards, live.
 
@@ -846,7 +1050,6 @@ class ClusterService:
         self.shards = self._partition(self.index)
         drainable = losers - gainers
         binds: dict[str, tuple[ShardIndex, bool]] = {}
-        pending: set[str] = set()
         for replica in self._all_replicas:
             view = self.shards[replica.shard_id]
             in_losers = replica.shard_id in losers
@@ -856,32 +1059,44 @@ class ClusterService:
             if must_flush:
                 batch = replica.batcher.flush_now(op.at_ms)
                 if batch is not None:
-                    self._execute(replica, batch, responses, pool)
+                    self._execute(replica, batch, responses)
                 replica.index = view
             elif (
                 in_losers
                 and replica.batcher.deadline_ms is not None
             ):
                 binds[replica.replica_id] = (view, False)
-                pending.add(replica.replica_id)
             else:
                 replica.index = view
         moved = len(op.moves)
         self.metrics.counter(
             "service.cluster.rebalanced_keys"
         ).inc(moved)
-        if not pending:
-            self._record_reconfig(op, version, version, op.at_ms,
+        self._start_drain(op, binds, version, version, moved)
+
+    def _start_drain(
+        self,
+        op: Reconfiguration,
+        binds: dict[str, tuple[ShardIndex, bool]],
+        from_version: str,
+        to_version: str,
+        moved: int = 0,
+    ) -> None:
+        """Record ``op`` now, or leave it draining behind the replicas
+        in ``binds`` (replica id -> (new view, wipe cache)) that still
+        hold an open batch under their old binding."""
+        if not binds:
+            self._record_reconfig(op, from_version, to_version, op.at_ms,
                                   drained=0, moved_keys=moved)
             return
         self._drain_state = {
             "op": op,
             "binds": binds,
-            "pending": pending,
+            "pending": set(binds),
             "last_ms": op.at_ms,
             "drained": 0,
-            "from": version,
-            "to": version,
+            "from": from_version,
+            "to": to_version,
             "moved": moved,
         }
 
@@ -913,7 +1128,7 @@ class ClusterService:
             )
 
     def _force_finish_drain(
-        self, at_ms: float, responses: list[Response], pool
+        self, at_ms: float, responses: list[Response]
     ) -> None:
         """Preempt an unfinished drain: flush every still-pending
         replica under its old binding and rebind it at ``at_ms``."""
@@ -924,7 +1139,7 @@ class ClusterService:
             replica = self._replica_by_id[replica_id]
             batch = replica.batcher.flush_now(at_ms)
             if batch is not None:
-                self._execute(replica, batch, responses, pool)
+                self._execute(replica, batch, responses)
             if (
                 self._drain_state is state
                 and replica_id in state["pending"]
@@ -1026,12 +1241,17 @@ class ClusterService:
         request: Request,
         ready_ms: float,
         responses: list[Response],
-        pool,
         attempt: int = 0,
     ) -> None:
         """Place one admitted request on a replica of its shard."""
         shard_id = self.shard_for(request.kind, request.target)
-        alive = self._available_replicas(shard_id, ready_ms)
+        alive = self.replicas[shard_id]
+        if self._faults is not None:
+            alive = [
+                replica
+                for replica in alive
+                if self._faults.available(replica.replica_id, ready_ms)
+            ]
         if not alive:
             if attempt + 1 >= self.cluster.max_dispatch_attempts:
                 self._shed(
@@ -1053,42 +1273,47 @@ class ClusterService:
             )
             self._requeue(request, wake, attempt + 1, causes=causes)
             return
-        outstanding = (
-            [replica.outstanding(ready_ms) for replica in alive]
-            if self._track_load
-            else []
-        )
-        choice = self._picker.pick(
-            shard_id,
-            len(alive),
-            outstanding,
-            request.request_id,
-            attempt=attempt,
-        )
-        replica = alive[choice]
+        if self._solo_replicas:
+            # Every policy picks the only replica of a one-replica shard.
+            replica = alive[0]
+        else:
+            outstanding = (
+                [replica.outstanding(ready_ms) for replica in alive]
+                if self._track_load
+                else []
+            )
+            replica = alive[
+                self._picker.pick(
+                    shard_id,
+                    len(alive),
+                    outstanding,
+                    request.request_id,
+                    attempt=attempt,
+                )
+            ]
         self._dispatches += 1
         batch = replica.batcher.add(request, ready_ms)
         if batch is not None:
-            self._execute(replica, batch, responses, pool)
+            self._execute(replica, batch, responses)
 
     def _execute(
-        self, replica: _Replica, batch: Batch, responses: list[Response], pool
+        self, replica: _Replica, batch: Batch, responses: list[Response]
     ) -> None:
         """Resolve one flushed batch on one replica.
 
-        Mirrors the single-node executor — cache pass, coalesced
-        lookups, latency assignment, emission — plus the replica-level
-        fault geometry: lookups pay the replica's slow/catch-up
-        multipliers and congestion, and any group whose completion
-        lands past the replica's next failure onset is *lost in
-        flight*: its requests go back to the router at the failure
-        instant instead of producing responses.
+        Cache pass, coalesced lookups, latency assignment, emission —
+        plus the replica-level fault geometry: lookups pay the
+        replica's slow/catch-up multipliers and congestion, and any
+        group whose completion lands past the replica's next failure
+        onset is *lost in flight*: its requests go back to the router
+        at the failure instant instead of producing responses.
         """
         faults = self._faults
         flush_ms = batch.flush_ms
-        groups = batch.groups()
+        groups = batch.groups
         rid = replica.replica_id
         metrics = replica.metrics
+        cache = replica.cache
         version = replica.index.version
         failure = faults.next_failure(rid, flush_ms) if faults else None
         fail_at, fail_channel = failure if failure else (None, "")
@@ -1101,54 +1326,43 @@ class ClusterService:
             else 0.0
         )
 
-        # Cache pass (coordinator thread; order = first-arrival order).
+        # Cache pass (order = first-arrival order).
         resolved: dict[str, tuple[int, object]] = {}
         latency: dict[str, float] = {}
         spike: dict[str, float] = {}
         jobs: list[str] = []
         for key in groups:
-            lost = faults.cache_lost(key, rid) if faults else False
-            if lost:
+            if faults is not None and faults.cache_lost(key, rid):
                 metrics.counter("service.cache.faults").inc()
-            hit = None if lost else replica.cache.get(key, flush_ms)
+                hit = None
+            else:
+                hit = cache.get(key, flush_ms)
             if hit is not None:
                 resolved[key] = hit
                 latency[key] = self.config.cache_hit_latency_ms
             else:
                 jobs.append(key)
 
-        # Index pass: pure lookups, serial or pooled — same order,
-        # same results, because shard views only read the frozen index.
-        job_requests = [groups[key][0].request for key in jobs]
-        if pool is not None and jobs:
-            results = list(
-                pool.map(
-                    lambda req: answer(replica.index, req.kind, req.target),
-                    job_requests,
-                )
-            )
-        else:
-            results = [
-                answer(replica.index, req.kind, req.target)
-                for req in job_requests
-            ]
-        for key, outcome in zip(jobs, results):
-            resolved[key] = outcome
-            spiked = faults.spike_ms(key, rid) if faults else 0.0
-            if spiked:
-                metrics.counter("service.index.spikes").inc()
-            spike[key] = spiked
-            latency[key] = (
-                key_latency_ms(version, key, self.config.index_latency_ms)
-                * slow
-                * catchup
-                + spiked
-                + congestion_ms
-            )
-            metrics.counter("service.index.lookups").inc()
+        # Index pass: pure lookups of the frozen shard view.
+        base_ms = self.config.index_latency_ms
+        for key in jobs:
+            carrier = groups[key][0].request
+            resolved[key] = answer(replica.index, carrier.kind, carrier.target)
+            cost_ms = key_latency_ms(version, key, base_ms)
+            if faults is not None:
+                spiked = faults.spike_ms(key, rid)
+                if spiked:
+                    metrics.counter("service.index.spikes").inc()
+                    spike[key] = spiked
+                cost_ms = cost_ms * slow * catchup + spiked
+            latency[key] = cost_ms + congestion_ms
+        if jobs:
+            metrics.counter("service.index.lookups").inc(len(jobs))
 
         # Emission pass: responses, counters, spans — or loss.
         fresh = set(jobs)
+        ok = failed = 0
+        observe = None
         for key, items in groups.items():
             completion_ms = flush_ms + latency[key]
             if fail_at is not None and completion_ms > fail_at:
@@ -1162,9 +1376,10 @@ class ClusterService:
                 for item in items:
                     self._requeue(item.request, fail_at, causes=(cause,))
                 continue
-            status, body = resolved[key]
+            outcome = resolved[key]
+            status, body = outcome
             if key in fresh:
-                replica.cache.put(key, resolved[key], flush_ms)
+                cache.put(key, outcome, flush_ms)
             if self._track_load:
                 replica.note_completion(completion_ms, len(items))
             if self._obs_log is not None:
@@ -1181,16 +1396,16 @@ class ClusterService:
                     key in fresh, latency[key], spike.get(key, 0.0),
                     version,
                 ))
-            metrics.counter(
-                "service.requests.ok"
-                if status == 200
-                else "service.requests.failed"
-            ).inc(len(items))
-            observe = metrics.histogram(
-                "service.latency_ms", LATENCY_BOUNDS_MS
-            ).observe
-            carrier_source = "index" if key in fresh else "cache"
-            for position, item in enumerate(items):
+            if status == 200:
+                ok += len(items)
+            else:
+                failed += len(items)
+            if observe is None:
+                observe = metrics.histogram(
+                    "service.latency_ms", LATENCY_BOUNDS_MS
+                ).observe
+            source = "index" if key in fresh else "cache"
+            for item in items:
                 request = item.request
                 observe(completion_ms - request.arrival_ms)
                 responses.append(
@@ -1201,10 +1416,15 @@ class ClusterService:
                         arrival_ms=request.arrival_ms,
                         start_ms=item.ready_ms,
                         completion_ms=completion_ms,
-                        source=carrier_source if position == 0 else "coalesced",
+                        source=source,
                         index_version=version,
                     )
                 )
+                source = "coalesced"
+        if ok:
+            metrics.counter("service.requests.ok").inc(ok)
+        if failed:
+            metrics.counter("service.requests.failed").inc(failed)
         if self._drain_state is not None:
             # The queued batch has finished under the old binding;
             # this replica's drained cutover lands at its flush
@@ -1216,6 +1436,7 @@ class ClusterService:
         log: list[tuple],
         blame: dict[int, list[str]],
         requeues: dict[int, int],
+        root_id: str | None,
     ) -> None:
         """Expand one serve run's observation log into spans,
         exemplars, and audit records.
@@ -1229,7 +1450,8 @@ class ClusterService:
         them here matches what eager emission would have recorded;
         dispatch attempts reconstruct as 1 + the re-queue count for
         any request that reached a replica or exhausted its attempts
-        (front-door sheds never dispatched, so they report 0).
+        (front-door sheds never dispatched, so they report 0). Request
+        spans hang under the run's root span ``root_id``.
         """
         tracer = self.tracer
         audit = self.audit
@@ -1246,6 +1468,7 @@ class ClusterService:
                     tracer.defer_span(
                         "request",
                         kind="service.request",
+                        parent=root_id,
                         rid=rid,
                         key=request.key,
                         status=status,
@@ -1272,7 +1495,7 @@ class ClusterService:
             if tracer is not None:
                 self._trace_group(
                     replica, key, items, status, completion_ms,
-                    fresh, latency_ms, spike_ms,
+                    fresh, latency_ms, spike_ms, root_id,
                 )
             family = replica_hists.get(replica.replica_id)
             if family is None:
@@ -1315,6 +1538,7 @@ class ClusterService:
         fresh: bool,
         latency_ms: float,
         spike_ms: float,
+        root_id: str | None,
     ) -> None:
         """Emit request → index-lookup spans for one coalesced group,
         tagged with the serving replica and shard. All spans are
@@ -1326,6 +1550,7 @@ class ClusterService:
         parent = tracer.defer_span(
             "request",
             kind="service.request",
+            parent=root_id,
             virtual_ms=completion_ms - carrier.arrival_ms,
             rid=carrier.request_id,
             key=key,
@@ -1348,6 +1573,7 @@ class ClusterService:
             tracer.defer_span(
                 "request",
                 kind="service.request",
+                parent=root_id,
                 virtual_ms=completion_ms - item.request.arrival_ms,
                 rid=item.request.request_id,
                 key=key,

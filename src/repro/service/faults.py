@@ -177,8 +177,7 @@ class ServiceFaults:
 
     Key-level decisions take an optional ``replica_id`` so the same
     logical key can be healthy on one replica and faulted on another —
-    a realistic failure geometry the single-node server simply leaves
-    empty. Counting (``injected``) is bookkeeping layered on top of
+    a realistic failure geometry. Counting (``injected``) is bookkeeping layered on top of
     the pure decisions; it never feeds back into them.
     """
 

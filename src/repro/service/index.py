@@ -10,9 +10,9 @@ and per-bucket sweeps, and aggregate endpoints (bucket counts, ECDF
 quantiles) that agree **byte-for-byte** with the batch report, because
 they are computed by the same code paths over the same values.
 
-Immutability is the serving contract: the server, the cache, and any
-number of thread-pool workers read the index concurrently without a
-lock, and a response is reproducible for as long as the version string
+Immutability is the serving contract: the serving loop, its caches,
+and every replica's shard view share the index without copying or
+locking it, and a response is reproducible for as long as the version string
 it was served under is. Entries are frozen dataclasses, collections
 are tuples, and the lookup tables are :class:`types.MappingProxyType`
 views — mutation raises instead of corrupting.

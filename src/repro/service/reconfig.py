@@ -486,8 +486,9 @@ def normalize_schedule(
       (a no-op "swap" that would still wipe every cache);
     - a delta whose ``from_version`` is not the generation that will
       be serving when it lands (broken delta chain);
-    - a rebalance on a tier that has no shards, with no moves, with
-      duplicate keys, or targeting an unknown shard id.
+    - a rebalance on a tier with fewer than two shards (nothing to
+      move between), with no moves, with duplicate keys, or targeting
+      an unknown shard id.
     """
     if not swaps:
         return []
@@ -543,10 +544,10 @@ def normalize_schedule(
                 )
             current = op.delta.to_version
         elif isinstance(op, RebalancePlan):
-            if not allow_rebalance:
+            if not allow_rebalance or len(shard_ids) < 2:
                 raise ReconfigError(
-                    "rebalance scheduled on a tier without shards "
-                    "(single-node services have nothing to move)"
+                    f"rebalance at {op.at_ms}ms on a tier without shards "
+                    f"to move between ({len(shard_ids)} shard(s))"
                 )
             if not op.moves:
                 raise ReconfigError(

@@ -12,7 +12,8 @@ The contracts pinned here:
   service for every tested shard/replica count and router policy when
   faults are off — and a 1×1 cluster reproduces the single-node run
   *including timing*;
-- serial and thread-pool cluster runs return identical responses;
+- request spans nest under their run's root span, however late the
+  trace is first read;
 - replica-level chaos (crash, partition, slow) degrades latency and
   the shed set only — every mutually-served request returns the same
   bytes, the admission (429) set never moves, and runs replay exactly;
@@ -39,6 +40,7 @@ from hypothesis import strategies as st
 from repro.faults import FaultSpec
 from repro.obs.export import render_json
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.service import (
     AuditLog,
     ClusterConfig,
@@ -359,14 +361,23 @@ def test_policies_agree_on_answers(service_index):
     assert wires["round_robin"] == wires["power_of_two"]
 
 
-def test_cluster_serial_equals_thread(service_index):
-    workload = mixed_workload(service_index)
-    cluster = ClusterConfig(n_shards=2, replicas_per_shard=2)
-    serial = ClusterService(service_index, cluster=cluster).serve(workload)
-    threaded = ClusterService(service_index, cluster=cluster).serve(
-        workload, mode="thread"
-    )
-    assert serial.responses == threaded.responses
+def test_request_spans_nest_under_their_service_span(service_index):
+    """Request spans materialise when the trace is first read; reading
+    it inside an unrelated open span must not adopt them."""
+    tracer = Tracer()
+    ClusterService(
+        service_index,
+        cluster=ClusterConfig(n_shards=1, replicas_per_shard=1),
+        tracer=tracer,
+    ).serve(mixed_workload(service_index, n=200))
+    with tracer.span("reader") as reader:
+        spans = tracer.spans
+    roots = [s for s in spans if s.kind == "service"]
+    assert len(roots) == 1
+    requests = [s for s in spans if s.kind == "service.request"]
+    assert len(requests) == 200
+    assert {s.parent_id for s in requests} == {roots[0].span_id}
+    assert not [s for s in spans if s.parent_id == reader.span_id]
 
 
 # -- replica-level chaos: degradation is confined --------------------------------
@@ -866,15 +877,3 @@ def test_chaos_grid_confinement_across_policies_and_topologies(service_index):
             ).serve(workload)
             assert chaotic.responses == replay.responses
 
-
-@pytest.mark.chaos
-def test_chaos_thread_mode_matches_serial(service_index):
-    workload = mixed_workload(service_index, n=3000, rps=3000.0)
-    cluster = ClusterConfig(n_shards=2, replicas_per_shard=2)
-    serial = ClusterService(
-        service_index, cluster=cluster, faults=CRASH_PLAN
-    ).serve(workload)
-    threaded = ClusterService(
-        service_index, cluster=cluster, faults=CRASH_PLAN
-    ).serve(workload, mode="thread")
-    assert serial.responses == threaded.responses

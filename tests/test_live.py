@@ -20,9 +20,9 @@ The contracts pinned here:
 - generation lifecycle: publisher sequence numbers are strictly
   monotonic, retention retires old generations, stale builds are
   refused, and freshness grades through the latency SLO machinery;
-- **zero-downtime swaps**: under a swap schedule serial and thread
-  serving agree byte-for-byte, a 1×1 cluster reproduces the
-  single-node run exactly, and — clean or under replica chaos — no
+- **zero-downtime swaps**: under a swap schedule both swaps take, a
+  1×1 cluster reproduces the single-node run exactly, and — clean or
+  under replica chaos — no
   response ever mixes generations: every 200 body re-derives from the
   exact index version the response reports, and shed responses carry
   a scheduled version too.
@@ -439,20 +439,12 @@ def assert_no_mixed_generation(result, requests, generations):
         assert (status, body) == (response.status, response.body)
 
 
-def test_single_node_swap_serial_equals_thread(live_run):
+def test_single_node_swap_never_mixes_generations(live_run):
     _, _, generations, _ = live_run
     g0, g1, g2 = generations
     requests = swap_workload(g0.index)
     swaps = swap_schedule(requests, generations)
-    serial = LinkStatusService(g0.index).serve(
-        requests, mode="serial", swaps=list(swaps)
-    )
-    threaded = LinkStatusService(g0.index).serve(
-        requests, mode="thread", swaps=list(swaps)
-    )
-    assert [r.to_wire() for r in serial.responses] == [
-        r.to_wire() for r in threaded.responses
-    ]
+    serial = LinkStatusService(g0.index).serve(requests, swaps=list(swaps))
     # Generation ids march monotonically through the schedule, and
     # both swaps actually took.
     assert serial.index_versions == (g0.version, g1.version, g2.version)
@@ -478,13 +470,11 @@ def test_one_by_one_cluster_swap_reproduces_single_node(live_run):
     g0 = generations[0]
     requests = swap_workload(g0.index)
     swaps = swap_schedule(requests, generations)
-    single = LinkStatusService(g0.index).serve(
-        requests, mode="serial", swaps=list(swaps)
-    )
+    single = LinkStatusService(g0.index).serve(requests, swaps=list(swaps))
     cluster = ClusterService(
         g0.index, ServerConfig(),
         ClusterConfig(n_shards=1, replicas_per_shard=1),
-    ).serve(requests, mode="serial", swaps=list(swaps))
+    ).serve(requests, swaps=list(swaps))
     assert [r.to_wire() for r in single.responses] == [
         r.to_wire() for r in cluster.responses
     ]
@@ -504,27 +494,23 @@ def test_cluster_swap_under_chaos_never_mixes_generations(live_run):
         replica_slow=FaultSpec(rate=0.3),
     )
 
-    def run(mode):
+    def run():
         service = ClusterService(
             g0.index, ServerConfig(),
             ClusterConfig(n_shards=2, replicas_per_shard=2),
             faults=plan,
         )
-        return service.serve(requests, mode=mode, swaps=list(swaps))
+        return service.serve(requests, swaps=list(swaps))
 
-    chaotic = run("serial")
+    chaotic = run()
     assert chaotic.fault_events  # the plan actually fired
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
     # Chaos degrades latency and shedding only — and deterministically:
-    # the run replays byte-for-byte, serial or threaded.
-    again = run("serial")
+    # the run replays byte-for-byte.
+    again = run()
     assert [r.to_wire() for r in chaotic.responses] == [
         r.to_wire() for r in again.responses
-    ]
-    threaded = run("thread")
-    assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
     ]
 
 
@@ -554,20 +540,13 @@ def test_swap_chaos_grid(live_run, topology, policy):
         replica_slow=FaultSpec(rate=0.3),
     )
 
-    def run(mode):
-        return ClusterService(
-            g0.index, ServerConfig(),
-            ClusterConfig(
-                n_shards=n_shards, replicas_per_shard=replicas,
-                policy=policy,
-            ),
-            faults=plan,
-        ).serve(requests, mode=mode, swaps=list(swaps))
-
-    chaotic = run("serial")
+    chaotic = ClusterService(
+        g0.index, ServerConfig(),
+        ClusterConfig(
+            n_shards=n_shards, replicas_per_shard=replicas,
+            policy=policy,
+        ),
+        faults=plan,
+    ).serve(requests, swaps=list(swaps))
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
-    threaded = run("thread")
-    assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
-    ]

@@ -14,7 +14,7 @@ The contracts pinned here:
   request replays;
 - **drained rolling swaps**: with ``drain=True`` each replica
   finishes its queued batch under the old generation before
-  rebinding; serial ≡ thread, no response mixes generations (clean or
+  rebinding; no response mixes generations (clean or
   under the replica crash/partition/slow grid), and the recorded
   :class:`ReconfigEvent` lag is the actual drain time;
 - **live rebalancing**: a mid-replay
@@ -324,6 +324,11 @@ def test_schedule_rejects_malformed_rebalances(reconfig_run):
     requests = swap_workload(g0.index, n=20)
     with pytest.raises(ReconfigError):
         LinkStatusService(g0.index).serve(requests, swaps=[move])
+    # So does any one-shard cluster: there is no shard to move keys to.
+    with pytest.raises(ReconfigError, match="without shards"):
+        ClusterService(
+            g0.index, cluster=ClusterConfig(n_shards=1, replicas_per_shard=2)
+        ).serve(requests, swaps=[move])
 
 
 # -- delta swaps through the serving tiers ----------------------------------------
@@ -380,14 +385,8 @@ def test_single_node_drained_swap_finishes_batch_under_old_binding(
     g0 = generations[0]
     requests = swap_workload(g0.index)
     serial = LinkStatusService(g0.index).serve(
-        requests, mode="serial", swaps=drained_swaps(requests, generations)
+        requests, swaps=drained_swaps(requests, generations)
     )
-    threaded = LinkStatusService(g0.index).serve(
-        requests, mode="thread", swaps=drained_swaps(requests, generations)
-    )
-    assert [r.to_wire() for r in serial.responses] == [
-        r.to_wire() for r in threaded.responses
-    ]
     assert serial.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(serial, requests, generations)
     events = serial.reconfig_events
@@ -422,8 +421,7 @@ def test_drained_swap_answers_match_atomic_generationwise(reconfig_run):
 
 def test_cluster_rolling_drained_swap_under_chaos(reconfig_run):
     """Rolling per-replica drains under crash + slow chaos: replicas
-    cut over one by one, yet no response ever mixes generations and
-    serial ≡ thread byte-for-byte."""
+    cut over one by one, yet no response ever mixes generations."""
     _, generations = reconfig_run
     g0 = generations[0]
     requests = swap_workload(g0.index)
@@ -436,22 +434,15 @@ def test_cluster_rolling_drained_swap_under_chaos(reconfig_run):
         replica_slow=FaultSpec(rate=0.3),
     )
 
-    def run(mode):
-        return ClusterService(
-            g0.index, ServerConfig(),
-            ClusterConfig(n_shards=2, replicas_per_shard=2),
-            faults=plan,
-        ).serve(requests, mode=mode, swaps=list(swaps))
-
-    chaotic = run("serial")
+    chaotic = ClusterService(
+        g0.index, ServerConfig(),
+        ClusterConfig(n_shards=2, replicas_per_shard=2),
+        faults=plan,
+    ).serve(requests, swaps=list(swaps))
     assert chaotic.fault_events
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
     assert [e.kind for e in chaotic.reconfig_events] == ["swap", "swap"]
-    threaded = run("thread")
-    assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
-    ]
 
 
 # -- live shard rebalancing -------------------------------------------------------
@@ -482,22 +473,16 @@ def test_mid_replay_rebalance_keeps_single_node_equivalence(reconfig_run):
     _, generations = reconfig_run
     g0 = generations[0]
     requests = swap_workload(g0.index)
-    single = LinkStatusService(g0.index).serve(requests, mode="serial")
-
-    def run(mode):
-        service = ClusterService(
-            g0.index, ServerConfig(),
-            ClusterConfig(n_shards=2, replicas_per_shard=2),
-        )
-        plan = RebalancePlan(
-            at_ms=swap_instants(requests)[0],
-            moves=cross_shard_moves(service, hot_keys(g0.index)),
-        )
-        return service, service.serve(
-            requests, mode=mode, swaps=[plan]
-        )
-
-    service, result = run("serial")
+    single = LinkStatusService(g0.index).serve(requests)
+    service = ClusterService(
+        g0.index, ServerConfig(),
+        ClusterConfig(n_shards=2, replicas_per_shard=2),
+    )
+    plan = RebalancePlan(
+        at_ms=swap_instants(requests)[0],
+        moves=cross_shard_moves(service, hot_keys(g0.index)),
+    )
+    result = service.serve(requests, swaps=[plan])
     assert [r.to_wire() for r in single.responses] == [
         r.to_wire() for r in result.responses
     ]
@@ -513,10 +498,6 @@ def test_mid_replay_rebalance_keeps_single_node_equivalence(reconfig_run):
     assert result.metrics.counter(
         "service.cluster.rebalanced_keys"
     ).int_value == 3
-    _, threaded = run("thread")
-    assert [r.to_wire() for r in result.responses] == [
-        r.to_wire() for r in threaded.responses
-    ]
 
 
 def test_rebalance_composes_with_drained_swaps_under_chaos(reconfig_run):
@@ -534,7 +515,7 @@ def test_rebalance_composes_with_drained_swaps_under_chaos(reconfig_run):
         crash_duration_ms=50.0,
     )
 
-    def run(mode):
+    def run():
         service = ClusterService(
             g0.index, ServerConfig(),
             ClusterConfig(n_shards=2, replicas_per_shard=2),
@@ -552,17 +533,14 @@ def test_rebalance_composes_with_drained_swaps_under_chaos(reconfig_run):
                 at_ms=t2, drain=True, index=generations[2].index
             ),
         ]
-        return service.serve(requests, mode=mode, swaps=swaps)
+        return service.serve(requests, swaps=swaps)
 
-    chaotic = run("serial")
+    chaotic = run()
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
     kinds = [e.kind for e in chaotic.reconfig_events]
     assert sorted(kinds) == ["rebalance", "swap", "swap"]
-    threaded = run("thread")
-    assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
-    ]
+    assert chaotic.responses == run().responses
 
 
 @pytest.mark.chaos
@@ -591,36 +569,25 @@ def test_reconfig_chaos_grid(reconfig_run, topology, policy):
         replica_slow=FaultSpec(rate=0.3),
     )
 
-    def run(mode):
-        service = ClusterService(
-            g0.index, ServerConfig(),
-            ClusterConfig(
-                n_shards=n_shards, replicas_per_shard=replicas,
-                policy=policy,
-            ),
-            faults=plan,
-        )
-        swaps = [
-            GenerationSwap(
-                at_ms=t1, drain=True, index=generations[1].index
-            ),
-            RebalancePlan(
-                at_ms=(t1 + t2) / 2.0,
-                moves=cross_shard_moves(service, hot_keys(g0.index, 2)),
-            ),
-            GenerationSwap(
-                at_ms=t2, drain=True, index=generations[2].index
-            ),
-        ]
-        return service.serve(requests, mode=mode, swaps=swaps)
-
-    chaotic = run("serial")
+    service = ClusterService(
+        g0.index, ServerConfig(),
+        ClusterConfig(
+            n_shards=n_shards, replicas_per_shard=replicas,
+            policy=policy,
+        ),
+        faults=plan,
+    )
+    swaps = [
+        GenerationSwap(at_ms=t1, drain=True, index=generations[1].index),
+        RebalancePlan(
+            at_ms=(t1 + t2) / 2.0,
+            moves=cross_shard_moves(service, hot_keys(g0.index, 2)),
+        ),
+        GenerationSwap(at_ms=t2, drain=True, index=generations[2].index),
+    ]
+    chaotic = service.serve(requests, swaps=swaps)
     assert chaotic.index_versions == tuple(g.version for g in generations)
     assert_no_mixed_generation(chaotic, requests, generations)
-    threaded = run("thread")
-    assert [r.to_wire() for r in chaotic.responses] == [
-        r.to_wire() for r in threaded.responses
-    ]
 
 
 # -- HRW minimal disruption (hypothesis) ------------------------------------------

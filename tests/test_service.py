@@ -9,7 +9,9 @@ The contracts pinned here, in rough dependency order:
 - the result cache expires on the virtual clock, not the wall clock;
 - admission control sheds a deterministic, reproducible *set* of
   request ids, FIFO-fairly;
-- serial and thread-pool serving return identical responses;
+- the single node (the serving loop at one shard × one replica)
+  keeps a pinned replay digest: responses, timing, rollup counters,
+  generations served and reconfiguration events;
 - fault plans degrade latency and hit rate only — never bodies,
   statuses, or the shed set.
 """
@@ -17,6 +19,8 @@ The contracts pinned here, in rough dependency order:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -24,6 +28,8 @@ from repro.obs.trace import Tracer
 from repro.reporting.cdf import ecdf
 from repro.service import (
     AdmissionController,
+    DeltaApply,
+    GenerationDelta,
     LinkStatusEntry,
     LinkStatusIndex,
     LinkStatusService,
@@ -288,17 +294,17 @@ def test_shed_set_is_deterministic_and_reproducible(service_index):
     )
     config = ServerConfig(rate_rps=1000.0, burst=4, queue_limit=16)
     runs = [
-        LinkStatusService(service_index, config).serve(workload, mode=mode)
-        for mode in ("serial", "serial", "thread")
+        LinkStatusService(service_index, config).serve(workload)
+        for _ in range(2)
     ]
     assert runs[0].shed_ids  # overload actually sheds
-    assert runs[0].shed_ids == runs[1].shed_ids == runs[2].shed_ids
+    assert runs[0].shed_ids == runs[1].shed_ids
     for response in runs[0].responses:
         if response.shed:
             assert response.status == 429 and response.body is None
 
 
-# -- server: serial ≡ thread, tracing --------------------------------------------
+# -- server: serve modes, tracing ------------------------------------------------
 
 
 def mixed_workload(index: LinkStatusIndex, n: int = 600) -> tuple[Request, ...]:
@@ -312,14 +318,6 @@ def mixed_workload(index: LinkStatusIndex, n: int = 600) -> tuple[Request, ...]:
             unknown_fraction=0.02,
         ),
     )
-
-
-def test_serial_and_thread_modes_answer_identically(service_index):
-    workload = mixed_workload(service_index)
-    serial = LinkStatusService(service_index).serve(workload, mode="serial")
-    threaded = LinkStatusService(service_index).serve(workload, mode="thread")
-    assert serial.responses == threaded.responses
-    assert serial.metrics.snapshot() == threaded.metrics.snapshot()
 
 
 def test_unknown_serve_mode_rejected(service_index):
@@ -425,3 +423,103 @@ def test_service_result_digest_fields(service_index):
     assert 0.0 <= digest["cache_hit_rate"] <= 1.0
     assert digest["p99_ms"] >= digest["p50_ms"] > 0.0
     assert "shed" in result.summary() and service_index.version in result.summary()
+
+
+# -- replay golden ---------------------------------------------------------------
+
+
+#: Rollup counters the node golden pins next to the responses.
+GOLDEN_COUNTERS = (
+    "service.index.lookups",
+    "service.cache.hits",
+    "service.batch.coalesced",
+    "service.batch.flushes",
+    "service.batch.items",
+)
+
+
+def node_replay_digest(results) -> str:
+    """SHA-256 over every ``Response`` field, the rollup counters, the
+    generations served and the reconfiguration events of node replays."""
+    digest = hashlib.sha256()
+    for result in results:
+        for r in result.responses:
+            fields = [
+                r.request_id, r.status, r.body, r.arrival_ms, r.start_ms,
+                r.completion_ms, r.source, r.index_version,
+            ]
+            digest.update(
+                json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+            )
+            digest.update(b"\n")
+        counters = [
+            result.metrics.counter(name).int_value for name in GOLDEN_COUNTERS
+        ]
+        tail = [
+            counters,
+            list(result.index_versions),
+            [event.as_dict() for event in result.reconfig_events],
+        ]
+        digest.update(json.dumps(tail, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+#: Digest of the two node replays below, recorded when the single node
+#: still ran its own serving loop. Any change to a faults-off response
+#: (timing included), a pinned counter, a served generation or a
+#: reconfiguration event moves it.
+NODE_REPLAY_SHA = (
+    "72898c3abe6b5bab9701b04a794772ccdadb07943d465a19908e2222c0eab603"
+)
+
+
+def test_node_replay_golden(service_index):
+    """Run 1: mixed traffic across an atomic and a drained
+    ``DeltaApply``. Run 2: an overload config that sheds."""
+    entries = service_index.entries
+    gap_days = service_index.gap_days
+    g1 = LinkStatusIndex(
+        tuple(e for i, e in enumerate(entries) if i % 7 != 3), gap_days
+    )
+    g2 = LinkStatusIndex(
+        tuple(e for i, e in enumerate(entries) if i % 5 != 1), gap_days
+    )
+    workload = generate_workload(
+        [e.url for e in entries],
+        WorkloadConfig(
+            n_requests=2000,
+            offered_rps=2500.0,
+            seed=7,
+            aggregate_fraction=0.05,
+            unknown_fraction=0.05,
+        ),
+    )
+    horizon = workload[-1].arrival_ms
+    swaps = [
+        DeltaApply(
+            at_ms=horizon / 3.0,
+            delta=GenerationDelta.between(service_index, g1),
+        ),
+        DeltaApply(
+            at_ms=2.0 * horizon / 3.0,
+            drain=True,
+            delta=GenerationDelta.between(g1, g2),
+        ),
+    ]
+    mixed = LinkStatusService(
+        service_index, ServerConfig(cache_capacity=32)
+    ).serve(workload, swaps=swaps)
+    assert mixed.index_versions == (
+        service_index.version, g1.version, g2.version
+    )
+    assert [e.drained_batches for e in mixed.reconfig_events] == [0, 1]
+    overload = LinkStatusService(
+        service_index, ServerConfig(rate_rps=1000.0, burst=4, queue_limit=16)
+    ).serve(
+        generate_workload(
+            [e.url for e in entries],
+            WorkloadConfig(n_requests=800, offered_rps=4000.0, seed=11),
+        )
+    )
+    assert overload.shed_ids
+    assert node_replay_digest([mixed, overload]) == NODE_REPLAY_SHA
