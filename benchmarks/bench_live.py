@@ -27,20 +27,10 @@ smoke test can redirect it).
 from __future__ import annotations
 
 import json
-import os
 import time
 
-import pytest
-
 from repro.clock import SimTime
-from repro.dataset.worldgen import WorldConfig, generate_world
-from repro.live import (
-    GenerationPublisher,
-    IncrementalStudy,
-    ReprobePolicy,
-    WorldDriver,
-    reference_study,
-)
+from repro.live import ReprobePolicy, reference_study
 from repro.service import (
     LinkStatusIndex,
     LinkStatusService,
@@ -48,67 +38,16 @@ from repro.service import (
     generate_workload,
 )
 
-LIVE_LINKS = int(os.environ.get("REPRO_BENCH_LIVE_LINKS", "2600"))
-LIVE_SAMPLE = int(os.environ.get("REPRO_BENCH_LIVE_SAMPLE", "1000"))
-LIVE_REQUESTS = int(os.environ.get("REPRO_BENCH_LIVE_REQUESTS", "8000"))
-LIVE_SEED = 11
-
-#: Editorial touches applied between consecutive builds.
-BATCH_SIZES: tuple[int, ...] = (2, 8, 32)
-
 _delta: dict = {}
 _swap: dict = {}
 
 
-@pytest.fixture(scope="module")
-def live_world():
-    """A private mutable world — the driver edits it in place."""
-    return generate_world(
-        WorldConfig(
-            n_links=LIVE_LINKS, target_sample=LIVE_SAMPLE, seed=LIVE_SEED
-        )
-    )
-
-
-@pytest.fixture(scope="module")
-def pipeline(live_world):
-    """Engine, driver, and publisher shared by both arms (ordered)."""
-    return {
-        "inc": IncrementalStudy(
-            live_world, sample_size=LIVE_SAMPLE, seed=LIVE_SEED,
-            policy=ReprobePolicy(every_days=30.0),
-        ),
-        "driver": WorldDriver(live_world),
-        "publisher": GenerationPublisher(retain=len(BATCH_SIZES) + 1),
-    }
-
-
-def _touch_sampled_urls(world, driver, urls, at_days, count) -> int:
-    """Post ``count`` sampled URLs onto articles that lack them.
-
-    Each edit emits one :class:`LinkPostedEvent` (the (title, url)
-    pair is checked to be new), so the batch lands exactly ``count``
-    lifecycle events on sampled URLs.
-    """
-    encyclopedia = world.encyclopedia
-    titles = encyclopedia.titles()
-    touched = 0
-    candidates = iter(urls)
-    step = 0.001
-    while touched < count:
-        url = next(candidates)
-        title = titles[-1 - (touched % min(10, len(titles)))]
-        already = {ref.url for ref in encyclopedia.article(title).link_refs()}
-        if url in already:
-            continue
-        driver.add_link(title, url, SimTime(at_days + touched * step))
-        touched += 1
-    return touched
-
-
-def test_delta_rebuild_speedup(benchmark, bench_out, live_world, pipeline):
-    inc, driver, publisher = (
+def test_delta_rebuild_speedup(
+    benchmark, bench_out, live_world, pipeline, live_scale
+):
+    inc, driver, publisher, touch = (
         pipeline["inc"], pipeline["driver"], pipeline["publisher"],
+        pipeline["touch"],
     )
     base = live_world.study_time.days
 
@@ -128,7 +67,7 @@ def test_delta_rebuild_speedup(benchmark, bench_out, live_world, pipeline):
 
     url_cursor = 0
     evicted: set[str] = set()
-    for step, batch in enumerate(BATCH_SIZES, start=1):
+    for step, batch in enumerate(live_scale.batch_sizes, start=1):
         at = SimTime(base + float(step))
         # One editorial eviction per batch: removing every reference
         # to a *sampled* URL changes the published content, so each
@@ -145,8 +84,7 @@ def test_delta_rebuild_speedup(benchmark, bench_out, live_world, pipeline):
                 )
                 removals += 1
                 article = live_world.encyclopedia.article(title)
-        _touch_sampled_urls(
-            live_world, driver,
+        touch(
             [u for u in sample_urls[url_cursor:] if u not in evicted],
             at.days - 0.5, batch,
         )
@@ -161,7 +99,8 @@ def test_delta_rebuild_speedup(benchmark, bench_out, live_world, pipeline):
 
         start = time.perf_counter()
         reference = reference_study(
-            live_world, at, sample_size=LIVE_SAMPLE, seed=LIVE_SEED,
+            live_world, at,
+            sample_size=live_scale.sample, seed=live_scale.seed,
             policy=ReprobePolicy(every_days=30.0),
         ).run()
         scratch_ms = (time.perf_counter() - start) * 1000.0
@@ -194,7 +133,7 @@ def test_delta_rebuild_speedup(benchmark, bench_out, live_world, pipeline):
         )
 
 
-def test_generation_swap_latency(benchmark, bench_out, pipeline):
+def test_generation_swap_latency(benchmark, bench_out, pipeline, live_scale):
     publisher = pipeline["publisher"]
     generations = publisher.generations
     assert len(generations) >= 3, "delta sweep must run first"
@@ -202,7 +141,7 @@ def test_generation_swap_latency(benchmark, bench_out, pipeline):
     requests = generate_workload(
         [entry.url for entry in g0.index.entries],
         WorkloadConfig(
-            n_requests=LIVE_REQUESTS, offered_rps=2_000.0, seed=3,
+            n_requests=live_scale.requests, offered_rps=2_000.0, seed=3,
             aggregate_fraction=0.02, unknown_fraction=0.01,
         ),
     )
@@ -258,11 +197,7 @@ def test_generation_swap_latency(benchmark, bench_out, pipeline):
     )
 
     payload = {
-        "world": {
-            "n_links": LIVE_LINKS,
-            "sample": LIVE_SAMPLE,
-            "seed": LIVE_SEED,
-        },
+        "world": live_scale.as_dict(),
         "delta_rebuild": _delta,
         "swap": _swap,
     }

@@ -10,21 +10,35 @@ scale in a few minutes. ``REPRO_BENCH_WORKERS`` shards the session's
 study run across worker processes (default 1: serial keeps the
 benchmark numbers free of multiprocessing noise; any value yields the
 same report).
+
+``bench_live.py`` and ``bench_reconfig.py`` share a second, smaller
+world that they drive forward in place (``REPRO_BENCH_LIVE_LINKS``,
+``REPRO_BENCH_LIVE_SAMPLE``, ``REPRO_BENCH_LIVE_REQUESTS``); each
+module gets its own copy.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.study import Study
 from repro.backends import StackConfig
+from repro.clock import SimTime
 from repro.dataset.collector import Collector
 from repro.dataset.sampler import sample_iabot_marked
 from repro.dataset.worldgen import WorldConfig, generate_world
 from repro.exec import StudyExecutor
+from repro.live import (
+    GenerationPublisher,
+    IncrementalStudy,
+    ReprobePolicy,
+    WorldDriver,
+)
 
 BENCH_LINKS = int(os.environ.get("REPRO_BENCH_LINKS", "12000"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "11"))
@@ -42,6 +56,27 @@ STACK_CONFIG = StackConfig.from_env()
 BENCH_OUT = Path(
     os.environ.get("REPRO_BENCH_OUT", Path(__file__).resolve().parent.parent)
 )
+
+
+@dataclass(frozen=True)
+class LiveScale:
+    """Scale of the live benches' private world."""
+
+    links: int = int(os.environ.get("REPRO_BENCH_LIVE_LINKS", "2600"))
+    sample: int = int(os.environ.get("REPRO_BENCH_LIVE_SAMPLE", "1000"))
+    requests: int = int(os.environ.get("REPRO_BENCH_LIVE_REQUESTS", "8000"))
+    seed: int = 11
+    #: Editorial touches applied between consecutive builds.
+    batch_sizes: tuple[int, ...] = (2, 8, 32)
+
+    def as_dict(self) -> dict:
+        """The ``world`` header of the live digests."""
+        return {
+            "n_links": self.links, "sample": self.sample, "seed": self.seed,
+        }
+
+
+LIVE = LiveScale()
 
 
 @pytest.fixture(scope="session")
@@ -106,3 +141,58 @@ def random_sample_dataset(world):
         collected, world.config.target_sample, seed=20220901
     )
     return collector.to_dataset(sampled, description="random sample")
+
+
+@pytest.fixture(scope="session")
+def live_scale() -> LiveScale:
+    """Scale knobs of the live benches' world."""
+    return LIVE
+
+
+@pytest.fixture(scope="module")
+def live_world():
+    """A private mutable world — the driver edits it in place."""
+    return generate_world(
+        WorldConfig(
+            n_links=LIVE.links, target_sample=LIVE.sample, seed=LIVE.seed
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def pipeline(live_world):
+    """Engine, driver, publisher and URL-touch helper shared by one
+    live bench module's arms (which run in order)."""
+    driver = WorldDriver(live_world)
+    return {
+        "inc": IncrementalStudy(
+            live_world, sample_size=LIVE.sample, seed=LIVE.seed,
+            policy=ReprobePolicy(every_days=30.0),
+        ),
+        "driver": driver,
+        "publisher": GenerationPublisher(retain=len(LIVE.batch_sizes) + 1),
+        "touch": partial(_touch_sampled_urls, live_world, driver),
+    }
+
+
+def _touch_sampled_urls(world, driver, urls, at_days, count) -> int:
+    """Post ``count`` sampled URLs onto articles that lack them.
+
+    Each edit emits one :class:`LinkPostedEvent` (the (title, url)
+    pair is checked to be new), so the batch lands exactly ``count``
+    lifecycle events on sampled URLs.
+    """
+    encyclopedia = world.encyclopedia
+    titles = encyclopedia.titles()
+    touched = 0
+    candidates = iter(urls)
+    step = 0.001
+    while touched < count:
+        url = next(candidates)
+        title = titles[-1 - (touched % min(10, len(titles)))]
+        already = {ref.url for ref in encyclopedia.article(title).link_refs()}
+        if url in already:
+            continue
+        driver.add_link(title, url, SimTime(at_days + touched * step))
+        touched += 1
+    return touched

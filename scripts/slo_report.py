@@ -2,11 +2,11 @@
 
 Usage::
 
-    python scripts/serve_demo.py 2600 11 --shards 2 --replicas 2 \
+    repro serve --links 2600 --seed 11 --shards 2 --replicas 2 \
         --crash-rate 0.5 --audit-log /tmp/audit.jsonl \
         --trace /tmp/trace.jsonl --metrics-json /tmp/metrics.json
-    python scripts/slo_report.py /tmp/audit-1x.jsonl \
-        --trace /tmp/trace.jsonl --metrics /tmp/metrics-1x.json
+    python scripts/slo_report.py /tmp/audit.jsonl \
+        --trace /tmp/trace.jsonl --metrics /tmp/metrics.json
 
 Reads the per-request audit JSONL the service tier writes (see
 :mod:`repro.service.audit`) and prints:

@@ -19,11 +19,11 @@ per line; see :mod:`repro.obs.trace`) and prints:
 - per-phase latency histograms over the individually-timed work items
   (record stages and backend calls).
 
-Service-tier traces (``serve_demo.py --trace`` / ``repro serve
---trace``) additionally get the cluster geometry: per-replica request
-counts (carriers vs coalesced riders, shard membership, virtual
-latency booked) and forced re-dispatch counts per (replica, fault
-channel) — the trace-side mirror of the audit log's blame trail.
+Service-tier traces (``repro serve --trace``) additionally get the
+cluster geometry: per-replica request counts (carriers vs coalesced
+riders, shard membership, virtual latency booked) and forced
+re-dispatch counts per (replica, fault channel) — the trace-side
+mirror of the audit log's blame trail.
 
 Everything is computed by :mod:`repro.obs.traceview`; this file is
 only argument parsing and text rendering.

@@ -3,11 +3,12 @@
 Subcommands:
 
     python -m repro study [--links N] [--seed S]      run the full study
-    python -m repro calibrate [--links N] [--seed S]  paper-vs-measured table
+    python -m repro calibrate [--links N] [--seed S]  headline paper-vs-measured
+                                                      ... table (exit 1 off-band)
     python -m repro medic [--links N] [--seed S]      WaybackMedic rescue run
     python -m repro serve [--requests M] [--rps R]    replay traffic at the service
-                    [--shards N] [--replicas R]       ... through the sharded cluster
-                    [--policy P] [--crash-rate F]     ... under replica chaos
+                    [--offered R] [--pattern P]       ... at an offered load
+                    [--spike-rate F]                  ... with index latency spikes
                     [--trace P] [--audit-log P]       ... emitting spans + audit JSONL
                     [--metrics-json P] [--prometheus P] [--slo]   ... and graded SLOs
     python -m repro query (--url U | --domain D |     one query against the index
@@ -17,12 +18,14 @@ Subcommands:
                     [--reprobe-days R]                ... generation per interval
                     [--requests M] [--json P]         ... and replay traffic
                     [--drain] [--full-snapshots]      ... across delta swaps
-                                                      ... (rolling when draining)
+                    [--rebalance]                     ... and a hot-key migration
     python -m repro generations --url U [--last N]    one URL's status across
                     [--generations G]                 ... the retained index
                     [--interval-days D]               ... generations
 
-Also installed as the ``repro`` console script.
+``serve`` and ``live`` share the fleet flags ``--shards N``,
+``--replicas R``, ``--policy P`` and ``--crash-rate F`` (crash instants
+fall within the replay). Also installed as the ``repro`` console script.
 """
 
 from __future__ import annotations
@@ -31,15 +34,15 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 
 from .analysis.redirects import RedirectValidator
 from .analysis.study import Study
 from .backends import StackConfig
 from .dataset.worldgen import WorldConfig, generate_world
 from .iabot.medic import WaybackMedic
-from .net.status import Outcome
 from .reporting.figures import render_bar_chart
-from .reporting.summary import ComparisonTable
+from .reporting.summary import paper_comparison
 from .wiki.encyclopedia import PERMADEAD_CATEGORY
 
 
@@ -102,26 +105,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    world = _build_world(args)
-    report = _run_study(args, world)
-    n = report.sample_size
-    counts = report.counts
-    table = ComparisonTable(title="paper vs measured")
-    table.add("fig4 DNS %", 28.0, 100 * counts[Outcome.DNS_FAILURE] / n)
-    table.add("fig4 404 %", 44.0, 100 * counts[Outcome.HTTP_404] / n)
-    table.add("fig4 200 %", 16.5, 100 * counts[Outcome.HTTP_200] / n)
-    table.add("alive %", 3.05, 100 * report.frac_genuinely_alive, tolerance=0.8)
-    table.add("pre-marking 200 %", 10.8, 100 * report.frac_pre_marking_200)
-    table.add(
-        "3xx of rest %",
-        42.3,
-        100 * report.n_rest_with_pre_3xx / max(report.n_rest, 1),
-    )
-    table.add(
-        "never archived of rest %",
-        22.2,
-        100 * report.n_never_archived / max(report.n_rest, 1),
-    )
+    table = paper_comparison(_run_study(args, _build_world(args)))
     print()
     print(table.render())
     return 0 if table.all_within_band else 1
@@ -157,6 +141,66 @@ def _build_index(args):
     return index
 
 
+def _fleet(args, index, workload, config=None, spike_rate=0.0, **observers):
+    """The serving fleet the shared fleet flags describe.
+
+    Replica crash instants are drawn over the replay itself, so a
+    ``--crash-rate`` fleet loses its replicas while traffic flows.
+    """
+    from .faults import FaultSpec
+    from .service import (
+        ClusterConfig,
+        ClusterService,
+        ServerConfig,
+        ServiceFaultPlan,
+    )
+
+    faults = None
+    if spike_rate or args.crash_rate:
+        faults = ServiceFaultPlan(
+            seed=args.seed,
+            index_spike=FaultSpec(rate=spike_rate, permanent=True),
+            replica_crash=FaultSpec(rate=args.crash_rate, permanent=True),
+            crash_horizon_ms=max(
+                (r.arrival_ms for r in workload), default=0.0
+            ),
+        )
+    return ClusterService(
+        index,
+        config or ServerConfig(),
+        ClusterConfig(
+            n_shards=args.shards,
+            replicas_per_shard=args.replicas,
+            policy=args.policy,
+        ),
+        faults=faults,
+        **observers,
+    )
+
+
+def _print_fleet(args, result) -> None:
+    """The fleet's own accounting, for any topology beyond one node."""
+    if args.shards == 1 and args.replicas == 1:
+        return
+    print(
+        f"cluster: {args.shards} shards x {args.replicas} replicas, "
+        f"policy {args.policy}; {result.redispatches} redispatches, "
+        f"{len(result.unavailable_ids)} gave up (503), "
+        f"{len(result.fault_events)} replica fault events"
+    )
+    for replica_id, counters in result.replica_digest().items():
+        ok = int(counters.get("service.requests.ok", 0))
+        lookups = int(counters.get("service.index.lookups", 0))
+        print(f"  {replica_id}: {ok} ok, {lookups} lookups")
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {path}")
+
+
 def _cmd_serve(args) -> int:
     from .obs import (
         Tracer,
@@ -169,17 +213,12 @@ def _cmd_serve(args) -> int:
     )
     from .service import (
         AuditLog,
-        ClusterConfig,
-        ClusterService,
         ServerConfig,
-        ServiceFaultPlan,
         WorkloadConfig,
         generate_workload,
     )
-    from .faults import FaultSpec
 
     index = _build_index(args)
-    config = ServerConfig(rate_rps=args.rps)
     workload = generate_workload(
         [entry.url for entry in index.entries],
         WorkloadConfig(
@@ -191,42 +230,22 @@ def _cmd_serve(args) -> int:
             pattern=args.pattern,
         ),
     )
-    faults = None
-    if args.spike_rate or args.crash_rate:
-        faults = ServiceFaultPlan(
-            seed=args.seed,
-            index_spike=FaultSpec(rate=args.spike_rate, permanent=True),
-            replica_crash=FaultSpec(rate=args.crash_rate, permanent=True),
-        )
-    clustered = args.shards > 1 or args.replicas > 1
     tracer = Tracer() if args.trace else None
     audit = AuditLog() if (args.audit_log or args.slo) else None
-    result = ClusterService(
+    result = _fleet(
+        args,
         index,
-        config,
-        ClusterConfig(
-            n_shards=args.shards,
-            replicas_per_shard=args.replicas,
-            policy=args.policy,
-        ),
-        faults=faults,
+        workload,
+        ServerConfig(rate_rps=args.rps),
+        spike_rate=args.spike_rate,
         tracer=tracer,
         audit=audit,
     ).serve(workload)
     print()
     print(result.summary())
-    if clustered:
-        print(
-            f"cluster: {args.shards} shards x {args.replicas} replicas, "
-            f"policy {args.policy}; {result.redispatches} redispatches, "
-            f"{len(result.unavailable_ids)} gave up (503), "
-            f"{len(result.fault_events)} replica fault events"
-        )
+    _print_fleet(args, result)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.as_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, result.as_dict())
     if tracer is not None:
         written = tracer.write_jsonl(args.trace)
         print(f"wrote {written} spans to {args.trace}")
@@ -329,11 +348,20 @@ def _cmd_live(args) -> int:
     from .service import (
         DeltaApply,
         GenerationSwap,
-        LinkStatusService,
+        RebalancePlan,
         WorkloadConfig,
         generate_workload,
+        snapshot_wire_bytes,
     )
+    from .service.router import rendezvous_owner, routing_key
 
+    if args.rebalance and args.shards < 2:
+        print(
+            "repro live: error: --rebalance moves a routing key between "
+            "shards; it needs --shards 2 or more",
+            file=sys.stderr,
+        )
+        return 2
     baseline_dead = None
 
     def announce(generation, result):
@@ -393,6 +421,7 @@ def _cmd_live(args) -> int:
         )
         horizon = max(r.arrival_ms for r in workload)
         swaps = []
+        deltas = []
         for i, generation in enumerate(lineage[1:]):
             at_ms = horizon * (i + 1) / len(lineage)
             if args.full_snapshots:
@@ -401,30 +430,60 @@ def _cmd_live(args) -> int:
                 ))
             else:
                 delta = publisher.build_delta(lineage[i], generation)
-                print(f"  {delta.summary()}")
+                full = snapshot_wire_bytes(generation.index)
+                print(
+                    f"  {delta.summary()} "
+                    f"({100 * delta.wire_bytes() / full:.1f}% of the "
+                    f"{full}-byte snapshot)"
+                )
+                deltas.append({
+                    "delta_id": delta.delta_id,
+                    "to_version": delta.to_version,
+                    "delta_bytes": delta.wire_bytes(),
+                    "snapshot_bytes": full,
+                })
                 swaps.append(DeltaApply(
                     at_ms=at_ms, drain=args.drain, delta=delta,
                 ))
-        result = LinkStatusService(first.index).serve(workload, swaps=swaps)
-        served: dict[str, int] = {}
-        for response in result.responses:
-            served[response.index_version] = served.get(
-                response.index_version, 0
-            ) + 1
+        n_swaps = len(swaps)
+        service = _fleet(args, first.index, workload)
+        if args.rebalance:
+            # Move the hottest routing key to another shard mid-replay,
+            # through the same drain machinery the swaps use.
+            heat = Counter(routing_key(r.kind, r.target) for r in workload)
+            hottest = max(heat, key=lambda k: (heat[k], k))
+            owner = rendezvous_owner(hottest, service.shard_ids)
+            target = next(s for s in service.shard_ids if s != owner)
+            at_ms = 0.47 * horizon
+            swaps.append(
+                RebalancePlan(at_ms=at_ms, moves=((hottest, target),))
+            )
+            print(
+                f"  rebalance: {hottest!r} ({heat[hottest]} requests) "
+                f"{owner} -> {target} at {at_ms:.0f}ms"
+            )
+        result = service.serve(workload, swaps=swaps)
+        served = Counter(r.index_version for r in result.responses)
         print()
         print(result.summary())
+        _print_fleet(args, result)
         discipline = "drained" if args.drain else "atomic"
         print(
-            f"zero-downtime swaps: {len(swaps)} ({discipline}, "
+            f"zero-downtime swaps: {n_swaps} ({discipline}, "
             f"{'snapshots' if args.full_snapshots else 'deltas'}); "
-            "served by generation: "
-            + ", ".join(f"{v}={n}" for v, n in served.items())
+            "served by generation:"
         )
+        for generation in lineage:
+            print(
+                f"  gen {generation.seq} ({generation.version}): "
+                f"{served[generation.version]} responses"
+            )
         for event in result.reconfig_events:
             print(
                 f"  reconfig {event.kind} at {event.scheduled_ms:.1f}ms "
                 f"-> {event.to_version} (lag {event.lag_ms:.2f}ms, "
-                f"{event.drained_batches} drained batches)"
+                f"{event.drained_batches} drained batches, "
+                f"{event.moved_keys} keys moved)"
             )
         reconfig_slo = evaluate(
             events_from_reconfigs(result.reconfig_events),
@@ -442,17 +501,15 @@ def _cmd_live(args) -> int:
             f"{'met' if reconfig_slo.met else 'violated'}"
         )
         payload["serve"] = result.as_dict()
-        payload["served_by_generation"] = served
+        payload["served_by_generation"] = dict(served)
+        payload["deltas"] = deltas
         payload["reconfigs"] = [
             event.as_dict() for event in result.reconfig_events
         ]
         payload["reconfig_slo_met"] = reconfig_slo.met
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, payload)
     return 0
 
 
@@ -488,11 +545,55 @@ def _cmd_generations(args) -> int:
                 for state in states
             ],
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, payload)
     return 0 if any(state.entry is not None for state in states) else 1
+
+
+def _count(text: str) -> int:
+    """An argparse type: a whole number of at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """An argparse type: a probability in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def _add_fleet_args(cmd) -> None:
+    """The serving-fleet flags ``serve`` and ``live`` share."""
+    cmd.add_argument(
+        "--shards",
+        type=_count,
+        default=1,
+        help="domain shards (default 1: the single node)",
+    )
+    cmd.add_argument(
+        "--replicas",
+        type=_count,
+        default=1,
+        help="replicas per shard (default 1)",
+    )
+    cmd.add_argument(
+        "--policy",
+        choices=("round_robin", "least_outstanding", "power_of_two"),
+        default="round_robin",
+        help="cluster replica-selection policy",
+    )
+    cmd.add_argument(
+        "--crash-rate",
+        type=_rate,
+        default=0.0,
+        help=(
+            "per-replica crash probability (cluster chaos); crash "
+            "instants fall within the replay"
+        ),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -526,6 +627,15 @@ def main(argv: list[str] | None = None) -> int:
                 default=None,
                 help="write the full study as a Markdown report",
             )
+        if name in ("serve", "live"):
+            _add_fleet_args(cmd)
+        if name in ("serve", "live", "generations"):
+            cmd.add_argument(
+                "--json",
+                metavar="PATH",
+                default=None,
+                help="also write the run digest as JSON",
+            )
         if name == "serve":
             cmd.add_argument("--requests", type=int, default=5000)
             cmd.add_argument(
@@ -542,45 +652,15 @@ def main(argv: list[str] | None = None) -> int:
             )
             cmd.add_argument(
                 "--spike-rate",
-                type=float,
+                type=_rate,
                 default=0.0,
                 help="inject index latency spikes at this per-key rate",
-            )
-            cmd.add_argument(
-                "--shards",
-                type=int,
-                default=1,
-                help="domain shards (default 1: the single node)",
-            )
-            cmd.add_argument(
-                "--replicas",
-                type=int,
-                default=1,
-                help="replicas per shard (default 1)",
-            )
-            cmd.add_argument(
-                "--policy",
-                choices=("round_robin", "least_outstanding", "power_of_two"),
-                default="round_robin",
-                help="cluster replica-selection policy",
-            )
-            cmd.add_argument(
-                "--crash-rate",
-                type=float,
-                default=0.0,
-                help="per-replica crash probability (cluster chaos)",
             )
             cmd.add_argument(
                 "--pattern",
                 choices=("poisson", "flash", "diurnal"),
                 default="poisson",
                 help="arrival pattern for the synthetic workload",
-            )
-            cmd.add_argument(
-                "--json",
-                metavar="PATH",
-                default=None,
-                help="also write the run digest as JSON",
             )
             cmd.add_argument(
                 "--trace",
@@ -617,7 +697,7 @@ def main(argv: list[str] | None = None) -> int:
         if name in ("live", "generations"):
             cmd.add_argument(
                 "--generations",
-                type=int,
+                type=_count,
                 default=4,
                 help="index generations to build (gen 1 is the batch study)",
             )
@@ -632,12 +712,6 @@ def main(argv: list[str] | None = None) -> int:
                 type=float,
                 default=30.0,
                 help="quiescent-URL re-probe epoch length",
-            )
-            cmd.add_argument(
-                "--json",
-                metavar="PATH",
-                default=None,
-                help="also write the run digest as JSON",
             )
         if name == "live":
             cmd.add_argument(
@@ -665,6 +739,14 @@ def main(argv: list[str] | None = None) -> int:
                     "generation deltas"
                 ),
             )
+            cmd.add_argument(
+                "--rebalance",
+                action="store_true",
+                help=(
+                    "move the hottest routing key to another shard "
+                    "mid-replay (needs --shards 2 or more)"
+                ),
+            )
         if name == "generations":
             cmd.add_argument(
                 "--url",
@@ -673,7 +755,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             cmd.add_argument(
                 "--last",
-                type=int,
+                type=_count,
                 default=None,
                 metavar="N",
                 help="only the N most recent retained generations",

@@ -15,7 +15,7 @@ measurement *current* as the world moves. Four pieces:
   retention and freshness telemetry;
 - :mod:`repro.live.driver` — :class:`WorldDriver`, the deterministic
   forward evolution of a generated world (sweeps, captures, edits)
-  that the demos, benchmarks, and tests script.
+  that the ``repro live`` CLI, benchmarks, and tests script.
 
 Serving tiers adopt generations via the ``swaps=`` schedule on
 :meth:`LinkStatusService.serve <repro.service.server.

@@ -257,7 +257,7 @@ class ServiceResult:
         }
 
     def summary(self) -> str:
-        """Multi-line digest for logs and the demo CLI."""
+        """Multi-line digest for logs and the ``repro`` CLI."""
         return "\n".join(
             [
                 (
@@ -742,8 +742,7 @@ class ClusterService:
         if mode != "serial":
             raise ValueError(f"unknown serve mode {mode!r}")
         self._pending_reconfigs = normalize_schedule(
-            swaps, self.index,
-            allow_rebalance=True, shard_ids=self.shard_ids,
+            swaps, self.index, shard_ids=self.shard_ids
         )
         self._drain_state = None
         self._reconfig_log = []

@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -461,11 +463,24 @@ class ReconfigEvent:
 # -- schedule validation ----------------------------------------------------------
 
 
+def _instant(at_ms) -> float:
+    """A schedule instant as float ms; finite and non-negative."""
+    if not (
+        isinstance(at_ms, numbers.Real)
+        and math.isfinite(at_ms)
+        and at_ms >= 0
+    ):
+        raise ReconfigError(
+            f"schedule instants must be finite, non-negative ms; "
+            f"got {at_ms!r}"
+        )
+    return float(at_ms)
+
+
 def normalize_schedule(
     swaps,
     initial: LinkStatusIndex,
     *,
-    allow_rebalance: bool = False,
     shard_ids: tuple[str, ...] = (),
 ) -> list[Reconfiguration]:
     """Validate a ``swaps=`` schedule up front; return typed ops.
@@ -474,13 +489,19 @@ def normalize_schedule(
     :class:`GenerationSwap` ops) and :class:`Reconfiguration`
     instances, sorted by schedule time. Raises :class:`ReconfigError`
     — *before* the replay starts — for every malformation that used
-    to surface as a mid-replay assertion or silent corruption:
+    to surface as a mid-replay assertion, a stray ``TypeError`` or
+    silent corruption:
 
+    - a schedule that is not iterable, or an entry that is neither a
+      pair nor a :class:`Reconfiguration`;
+    - an instant that is not a finite, non-negative number (NaN
+      instants would otherwise slip past the ordering rule);
     - duplicate ``at_ms`` (two reconfigurations cannot share an
       instant; the tie would be resolved by list order, which callers
       do not control after sorting);
-    - an empty index (a generation with no entries can answer
-      nothing; installing one is always a schedule bug);
+    - an empty index, or something that is not an index at all (a
+      generation with no entries can answer nothing; installing one
+      is always a schedule bug);
     - non-monotonic versions: a swap or delta whose target is the
       generation already serving at that point in the schedule
       (a no-op "swap" that would still wipe every cache);
@@ -490,11 +511,18 @@ def normalize_schedule(
       move between), with no moves, with duplicate keys, or targeting
       an unknown shard id.
     """
-    if not swaps:
+    if swaps is None:
         return []
+    try:
+        items = list(swaps)
+    except TypeError:
+        raise ReconfigError(
+            f"a swap schedule must be iterable, got {swaps!r}"
+        ) from None
     ops: list[Reconfiguration] = []
-    for item in swaps:
+    for item in items:
         if isinstance(item, Reconfiguration):
+            _instant(item.at_ms)
             ops.append(item)
         else:
             try:
@@ -504,7 +532,7 @@ def normalize_schedule(
                     f"schedule entries must be (at_ms, index) pairs or "
                     f"Reconfiguration instances, got {item!r}"
                 ) from None
-            ops.append(GenerationSwap(at_ms=float(at_ms), index=index))
+            ops.append(GenerationSwap(at_ms=_instant(at_ms), index=index))
     ops.sort(key=lambda op: op.at_ms)
     for earlier, later in zip(ops, ops[1:]):
         if later.at_ms <= earlier.at_ms:
@@ -516,7 +544,12 @@ def normalize_schedule(
     current = initial.version
     for op in ops:
         if isinstance(op, GenerationSwap):
-            if op.index is None or len(op.index) == 0:
+            if not isinstance(op.index, LinkStatusIndex):
+                raise ReconfigError(
+                    f"swap at {op.at_ms}ms installs {op.index!r}, not an "
+                    f"index"
+                )
+            if len(op.index) == 0:
                 raise ReconfigError(
                     f"swap at {op.at_ms}ms installs an empty index"
                 )
@@ -527,7 +560,7 @@ def normalize_schedule(
                 )
             current = op.index.version
         elif isinstance(op, DeltaApply):
-            if op.delta is None:
+            if not isinstance(op.delta, GenerationDelta):
                 raise ReconfigError(
                     f"delta apply at {op.at_ms}ms carries no delta"
                 )
@@ -544,7 +577,7 @@ def normalize_schedule(
                 )
             current = op.delta.to_version
         elif isinstance(op, RebalancePlan):
-            if not allow_rebalance or len(shard_ids) < 2:
+            if len(shard_ids) < 2:
                 raise ReconfigError(
                     f"rebalance at {op.at_ms}ms on a tier without shards "
                     f"to move between ({len(shard_ids)} shard(s))"
@@ -554,8 +587,16 @@ def normalize_schedule(
                     f"rebalance at {op.at_ms}ms moves nothing"
                 )
             seen: set[str] = set()
-            for key, target in op.moves:
-                if key in seen:
+            for move in op.moves:
+                try:
+                    key, target = move
+                    repeated = key in seen
+                except (TypeError, ValueError):
+                    raise ReconfigError(
+                        f"rebalance at {op.at_ms}ms: moves must be "
+                        f"(key, shard id) pairs, got {move!r}"
+                    ) from None
+                if repeated:
                     raise ReconfigError(
                         f"rebalance at {op.at_ms}ms moves key "
                         f"{key!r} twice"

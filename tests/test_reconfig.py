@@ -301,24 +301,21 @@ def test_schedule_rejects_malformed_rebalances(reconfig_run):
     shards = ("shard-0", "shard-1")
     with pytest.raises(ReconfigError, match="moves nothing"):
         normalize_schedule(
-            [RebalancePlan(at_ms=50.0)], g0.index,
-            allow_rebalance=True, shard_ids=shards,
+            [RebalancePlan(at_ms=50.0)], g0.index, shard_ids=shards,
         )
     with pytest.raises(ReconfigError, match="twice"):
         normalize_schedule(
             [RebalancePlan(at_ms=50.0, moves=(
                 ("a.test", "shard-0"), ("a.test", "shard-1"),
             ))],
-            g0.index, allow_rebalance=True, shard_ids=shards,
+            g0.index, shard_ids=shards,
         )
     with pytest.raises(ReconfigError, match="unknown"):
         normalize_schedule(
             [RebalancePlan(at_ms=50.0, moves=(("a.test", "shard-9"),))],
-            g0.index, allow_rebalance=True, shard_ids=shards,
+            g0.index, shard_ids=shards,
         )
-    ok = normalize_schedule(
-        [move], g0.index, allow_rebalance=True, shard_ids=shards
-    )
+    ok = normalize_schedule([move], g0.index, shard_ids=shards)
     assert ok[0].kind == "rebalance"
     # Single-node serve() rejects rebalances through the same gate.
     requests = swap_workload(g0.index, n=20)
@@ -329,6 +326,71 @@ def test_schedule_rejects_malformed_rebalances(reconfig_run):
         ClusterService(
             g0.index, cluster=ClusterConfig(n_shards=1, replicas_per_shard=2)
         ).serve(requests, swaps=[move])
+
+
+_NAN, _INF = float("nan"), float("inf")
+_MOVE = (("a.test", "shard-1"),)
+
+#: Malformed schedules, built from (next index, its delta).
+MALFORMED_SCHEDULES = {
+    "not iterable": lambda index, delta: 5,
+    "None instant": lambda index, delta: [(None, index)],
+    "text instant": lambda index, delta: [("soon", index)],
+    "not an index": lambda index, delta: [(1, "x")],
+    "nan pair": lambda index, delta: [(_NAN, index)],
+    "inf pair": lambda index, delta: [(_INF, index)],
+    "negative pair": lambda index, delta: [(-1.0, index)],
+    "two nan pairs": lambda index, delta: [(_NAN, index), (_NAN, index)],
+    "nan swap": lambda index, delta: [GenerationSwap(at_ms=_NAN, index=index)],
+    "negative swap": lambda index, delta: [
+        GenerationSwap(at_ms=-1.0, index=index)
+    ],
+    "two nan swaps": lambda index, delta: [
+        GenerationSwap(at_ms=_NAN, index=index),
+        GenerationSwap(at_ms=_NAN, index=index),
+    ],
+    "nan delta": lambda index, delta: [DeltaApply(at_ms=_NAN, delta=delta)],
+    "inf delta": lambda index, delta: [DeltaApply(at_ms=_INF, delta=delta)],
+    "nan rebalance": lambda index, delta: [
+        RebalancePlan(at_ms=_NAN, moves=_MOVE)
+    ],
+    "negative rebalance": lambda index, delta: [
+        RebalancePlan(at_ms=-5.0, moves=_MOVE)
+    ],
+    "delta of the wrong type": lambda index, delta: [
+        DeltaApply(at_ms=50.0, delta="not a delta")
+    ],
+    "move that is not a pair": lambda index, delta: [
+        RebalancePlan(at_ms=50.0, moves=(("a.test",),))
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULES))
+def test_schedule_rejects_malformed_entries_with_a_typed_error(
+    reconfig_run, case
+):
+    """Every malformed entry is a ReconfigError, never a stray
+    TypeError/AttributeError, and no NaN instant slips through."""
+    _, generations = reconfig_run
+    g0, g1, _ = generations
+    d01, _ = delta_chain(generations)
+    schedule = MALFORMED_SCHEDULES[case](g1.index, d01)
+    with pytest.raises(ReconfigError):
+        normalize_schedule(
+            schedule, g0.index, shard_ids=("shard-0", "shard-1")
+        )
+
+
+def test_schedule_accepts_instant_zero_and_empty_schedules(reconfig_run):
+    _, generations = reconfig_run
+    g0, g1, _ = generations
+    ops = normalize_schedule(
+        [GenerationSwap(at_ms=0, index=g1.index)], g0.index
+    )
+    assert ops[0].at_ms == 0.0
+    assert normalize_schedule(None, g0.index) == []
+    assert normalize_schedule((), g0.index) == []
 
 
 # -- delta swaps through the serving tiers ----------------------------------------
