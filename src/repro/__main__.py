@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -557,6 +558,22 @@ def _count(text: str) -> int:
     return value
 
 
+def _whole(text: str) -> int:
+    """An argparse type: a whole number of at least zero."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """An argparse type: a finite number above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
 def _rate(text: str) -> float:
     """An argparse type: a probability in [0, 1]."""
     value = float(text)
@@ -616,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         ("generations", _cmd_generations),
     ):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--links", type=int, default=3000)
+        cmd.add_argument("--links", type=_count, default=3000)
         cmd.add_argument("--seed", type=int, default=2022)
         if name in ("study", "calibrate"):
             StackConfig.add_stack_args(cmd)
@@ -637,16 +654,16 @@ def main(argv: list[str] | None = None) -> int:
                 help="also write the run digest as JSON",
             )
         if name == "serve":
-            cmd.add_argument("--requests", type=int, default=5000)
+            cmd.add_argument("--requests", type=_count, default=5000)
             cmd.add_argument(
                 "--rps",
-                type=float,
+                type=_positive,
                 default=2000.0,
                 help="service token-bucket rate (capacity)",
             )
             cmd.add_argument(
                 "--offered",
-                type=float,
+                type=_positive,
                 default=None,
                 help="offered load in rps (default: equal to --rps)",
             )
@@ -703,20 +720,20 @@ def main(argv: list[str] | None = None) -> int:
             )
             cmd.add_argument(
                 "--interval-days",
-                type=float,
+                type=_positive,
                 default=7.0,
                 help="sim days between consecutive builds",
             )
             cmd.add_argument(
                 "--reprobe-days",
-                type=float,
+                type=_positive,
                 default=30.0,
                 help="quiescent-URL re-probe epoch length",
             )
         if name == "live":
             cmd.add_argument(
                 "--requests",
-                type=int,
+                type=_whole,
                 default=2000,
                 help=(
                     "replay this many requests across the generation "
@@ -776,7 +793,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             cmd.add_argument(
                 "--shards",
-                type=int,
+                type=_count,
                 default=1,
                 help="also report which of N shards owns this query",
             )

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from ..clock import SimTime, EVENTSTREAM_START, WNRT_START
 from ..errors import UrlError
 from ..net.fetch import Fetcher
+from ..net.http import HttpResponse
 from ..rng import Stream
+from ..textsim.content import ContentGenerator
 from ..textsim.shingles import minhash_sketch
 from ..urls.parse import ParsedUrl, QueryArgs, parse_url
 from ..web import robots
@@ -59,21 +61,43 @@ class CrawlPolicy:
         return len(QueryArgs.parse(parsed.query)) <= self.max_query_params
 
 
-class DeferredSketch:
-    """One body stem's MinHash sketch, computed on first read.
+def _stem(body: str) -> str:
+    """``body`` minus its final (per-request noise) token."""
+    return body.rsplit(" ", 1)[0] if " " in body else body
 
-    :meth:`BodySketcher.deferred` makes one cell per distinct stem and
-    hands the same cell to every snapshot of that stem, so the sketch
-    is computed at most once however many snapshots share it. Reading
-    :attr:`value` goes through :meth:`BodySketcher.sketch`.
+
+class DeferredSketch:
+    """One body's MinHash sketch, computed on first read.
+
+    A cell is keyed by the body's content id ``(site seed, page kind,
+    path)`` when the web generated it, or by the body's stem (the body
+    minus its noise token) for a literal body. It keeps only that key:
+    :attr:`stem` rebuilds a generated page's core text from the id, and
+    that core is exactly the stem of any render of the page.
+
+    :meth:`BodySketcher.deferred` makes one cell per distinct key and
+    hands the same cell to every snapshot of that content, so the
+    sketch is computed at most once however many snapshots share it.
+    Reading :attr:`value` goes through :meth:`BodySketcher.sketch`.
     """
 
-    __slots__ = ("_sketcher", "stem", "_value")
+    __slots__ = ("_sketcher", "key", "_value")
 
-    def __init__(self, sketcher: "BodySketcher", stem: str) -> None:
+    def __init__(
+        self, sketcher: "BodySketcher", key: str | tuple[str, str, str]
+    ) -> None:
         self._sketcher = sketcher
-        self.stem = stem
+        self.key = key
         self._value: tuple[int, ...] | None = None
+
+    @property
+    def stem(self) -> str:
+        """The text this cell sketches."""
+        key = self.key
+        if isinstance(key, str):
+            return key
+        site_seed, kind, path = key
+        return ContentGenerator(site_seed).core(kind, path)
 
     @property
     def value(self) -> tuple[int, ...]:
@@ -81,7 +105,7 @@ class DeferredSketch:
         value = self._value
         if value is None:
             # ``stem + " "`` is a body whose stem is ``stem``.
-            value = self._sketcher.sketch(self.stem + " ")
+            value = self._value = self._sketcher.sketch(self.stem + " ")
         return value
 
 
@@ -93,11 +117,12 @@ class BodySketcher:
     final token (its *stem*), once per distinct stem. The lost token
     perturbs the true sketch negligibly (4 shingles out of hundreds).
 
-    Captures do not sketch: :meth:`deferred` returns the stem's shared
-    :class:`DeferredSketch` cell in O(1), and the MinHash runs on the
-    first read of any snapshot holding it — most stems are never read
-    (only the soft-404 twin scan reads sketches). :meth:`sketch` is
-    the eager form.
+    Captures do not sketch, and do not render: :meth:`deferred` returns
+    the response's shared :class:`DeferredSketch` cell in O(1), keyed by
+    the body's content id without reading the body text, and the
+    MinHash runs on the first read of any snapshot holding it — most
+    captures are never read (only the soft-404 twin scan reads
+    sketches). :meth:`sketch` is the eager form, keyed by stem text.
 
     ``misses`` counts MinHash computations, which happen at most once
     per distinct stem whichever path asks first.
@@ -110,23 +135,29 @@ class BodySketcher:
     """
 
     def __init__(self) -> None:
-        self._cells: dict[str, DeferredSketch] = {}
+        self._cells: dict[str | tuple[str, str, str], DeferredSketch] = {}
         self.misses = 0
 
-    def deferred(self, body: str) -> DeferredSketch:
-        """The shared, possibly not yet computed sketch of ``body``'s stem."""
-        stem = body.rsplit(" ", 1)[0] if " " in body else body
-        cell = self._cells.get(stem)
+    def _cell(self, key: str | tuple[str, str, str]) -> DeferredSketch:
+        cell = self._cells.get(key)
         if cell is None:
-            cell = self._cells[stem] = DeferredSketch(self, stem)
+            cell = self._cells[key] = DeferredSketch(self, key)
         return cell
+
+    def deferred(self, response: HttpResponse) -> DeferredSketch:
+        """The shared, possibly not yet computed sketch of ``response``'s body.
+
+        A generated body is keyed by its content id and is not rendered.
+        """
+        key = response.content_id
+        return self._cell(_stem(response.body) if key is None else key)
 
     def sketch(self, body: str) -> tuple[int, ...]:
         """MinHash sketch of ``body`` (computed once per stem)."""
-        cell = self.deferred(body)
+        cell = self._cell(_stem(body))
         if cell._value is None:
             self.misses += 1
-            cell._value = minhash_sketch(cell.stem)
+            cell._value = minhash_sketch(cell.key)
         return cell._value
 
 
@@ -189,7 +220,7 @@ class ArchiveCrawler:
             redirect_location=initial.location if initial.is_redirect else None,
             final_status=final.status,
             final_url=final.url,
-            sketch=self._sketcher.deferred(final.body),
+            sketch=self._sketcher.deferred(final),
         )
         self._store.add(snapshot)
         return snapshot

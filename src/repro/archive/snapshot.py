@@ -47,9 +47,11 @@ class Snapshot:
 
     Sketching is deferred: ``sketch=`` takes either the tuple or a
     :class:`~repro.archive.crawler.DeferredSketch` cell, which the
-    crawler passes so that a capture costs no MinHash. The cell's
-    sketch is computed on the first read of :attr:`sketch` (once per
-    body stem, shared by every snapshot of that stem). Equality,
+    crawler passes so that a capture costs no MinHash and renders no
+    body text. The cell is keyed by the body's content id (site seed,
+    page kind, path), and its sketch is computed on the first read of
+    :attr:`sketch` (once per distinct core text, shared by every
+    snapshot of that content). Equality,
     hashing, ``repr`` and pickling all use the resolved tuple, so a
     deferred snapshot is indistinguishable from one built with the
     tuple. Snapshots are immutable.

@@ -13,6 +13,13 @@ The soft-404 detector (§3) only works if the simulated web serves
 
 Content is generated deterministically from a site seed and the page
 path, with a per-fetch nonce line injected to model dynamic noise.
+
+A page's stable text (its *core*) is therefore a function of its
+content id ``(site seed, page kind, path)`` alone, which
+:meth:`ContentGenerator.core` computes. Responses of the simulated web
+carry that id and render the body text only when it is read: the
+archive crawler keys its sketches by the id, so most captured pages
+are never rendered at all.
 """
 
 from __future__ import annotations
@@ -54,6 +61,9 @@ _LOGIN_TEMPLATE = (
 )
 
 
+#: The kinds of generated page, as :meth:`ContentGenerator.core` names them.
+PAGE_KINDS = ("article", "homepage", "error", "parked", "login")
+
 #: Length, in tokens, of boilerplate pages (error / parked / login).
 #: Sized so that the single dynamic nonce token keeps the 4-shingle
 #: Jaccard similarity between two renders above the paper's 99%
@@ -91,8 +101,8 @@ class ContentGenerator:
     """Generates page bodies for one site.
 
     All variation between fetches comes from the ``nonce`` argument
-    (the fetcher passes a monotonically increasing counter), so content
-    is fully deterministic given (site_seed, path, nonce).
+    (the web hashes it from the request's address, URL and day), so
+    content is fully deterministic given (site_seed, path, nonce).
     """
 
     #: Approximate length, in words, of a real article body.
@@ -112,6 +122,24 @@ class ContentGenerator:
         self._core_cache: dict[str, str] = {}
 
     # -- core text per page kind ---------------------------------------------
+
+    def core(self, kind: str, path: str = "") -> str:
+        """The core text of a page of ``kind`` (one of :data:`PAGE_KINDS`).
+
+        Only articles depend on ``path``; every other kind is one page
+        per site.
+        """
+        if kind == "article":
+            return self.article_core(path)
+        if kind == "homepage":
+            return self.homepage_core()
+        if kind == "error":
+            return self.error_core()
+        if kind == "parked":
+            return self.parked_core()
+        if kind == "login":
+            return self.login_core()
+        raise ValueError(f"unknown page kind {kind!r}")
 
     def article_core(self, path: str) -> str:
         """The stable text of a real page at ``path``."""

@@ -44,6 +44,60 @@ def _canonical_path_query(path_query: str) -> str:
     return path + "?" + "&".join(f"{k}={v}" for k, v in pairs)
 
 
+def _request_nonce(address: str, url: str, day: int) -> int:
+    """The noise nonce of one (address, url, day) request."""
+    digest = hashlib.sha256(f"{address}|{url}|{day}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+class PageBody:
+    """A generated page's response body, rendered on first read.
+
+    Holds the inputs of one render: the site's content generator, the
+    page kind and canonical path, and the request's (address, URL, day),
+    which seed the per-request noise token. The core text, the nonce and
+    the ``req…`` token are built only when :attr:`text` is first read,
+    and the text is byte-identical to the eager
+    ``ContentGenerator.<kind>(nonce).body``.
+    """
+
+    __slots__ = ("_content", "kind", "path", "_address", "_url", "_day", "_text")
+
+    def __init__(
+        self,
+        content: ContentGenerator,
+        kind: str,
+        path: str,
+        address: str,
+        url: str,
+        day: int,
+    ) -> None:
+        self._content = content
+        self.kind = kind
+        self.path = path
+        self._address = address
+        self._url = url
+        self._day = day
+        self._text: str | None = None
+
+    @property
+    def content_id(self) -> tuple[str, str, str]:
+        """``(site seed, page kind, path)``: what the core text depends on."""
+        return (self._content.site_seed, self.kind, self.path)
+
+    @property
+    def text(self) -> str:
+        """The rendered body (rendered now if this is the first read)."""
+        text = self._text
+        if text is None:
+            content = self._content
+            text = self._text = content.render(
+                content.core(self.kind, self.path),
+                _request_nonce(self._address, self._url, self._day),
+            ).body
+        return text
+
+
 def _hash_unit(seed: str) -> float:
     """A uniform [0, 1) draw derived purely from ``seed``."""
     digest = hashlib.sha256(seed.encode("utf-8")).digest()
@@ -142,8 +196,15 @@ class Site:
 
     # -- request handling -----------------------------------------------------------
 
-    def respond(self, request: HttpRequest, at: SimTime, nonce: int) -> HttpResponse:
+    def respond(
+        self, request: HttpRequest, at: SimTime, address: str
+    ) -> HttpResponse:
         """Answer a GET at instant ``at``.
+
+        ``address`` is the DNS address the request resolved to; with the
+        URL and the day it seeds a generated page's noise token, so a
+        response is a pure function of (address, url, day). Generated
+        pages carry a lazy :class:`PageBody`.
 
         Raises :class:`~repro.errors.ConnectionTimeout` for flaky or
         silently geo-blocked conditions; returns an
@@ -154,15 +215,17 @@ class Site:
             f"?{request.url.query}" if request.url.query else ""
         )
 
+        def generated(status: int, kind: str, path: str = "") -> HttpResponse:
+            body = PageBody(self._content, kind, path, address, url, int(at.days))
+            return HttpResponse(url=url, status=status, body=body)
+
         if self.state.geo_active_at(at):
             if self.state.geo is GeoPolicy.BLOCKED_TIMEOUT:
                 raise ConnectionTimeout(self.hostname)
             return HttpResponse(url=url, status=403, body="access denied")
 
         if self.state.parked_at(at):
-            return HttpResponse(
-                url=url, status=200, body=self._content.parked_page(nonce).body
-            )
+            return generated(200, "parked")
 
         if self.state.outage_at(at):
             return HttpResponse(url=url, status=503, body="service unavailable")
@@ -173,15 +236,11 @@ class Site:
                 raise ConnectionTimeout(self.hostname)
 
         if request.url.path == "/" and not request.url.query:
-            return HttpResponse(
-                url=url, status=200, body=self._content.homepage(nonce).body
-            )
+            return generated(200, "homepage")
         if request.url.path == ROBOTS_PATH:
             return HttpResponse(url=url, status=200, body=self.robots.render())
         if request.url.path == LOGIN_PATH:
-            return HttpResponse(
-                url=url, status=200, body=self._content.login_page(nonce).body
-            )
+            return generated(200, "login")
 
         page = self._pages.get(path_query)
         if page is None and request.url.query:
@@ -192,26 +251,15 @@ class Site:
             if status is PageStatus.SERVES:
                 # Content keyed by the page's canonical path, so every
                 # parameter ordering serves identical bytes.
-                return HttpResponse(
-                    url=url,
-                    status=200,
-                    body=self._content.article(page.path_query, nonce).body,
-                )
+                return generated(200, "article", page.path_query)
             if status is PageStatus.REDIRECTS:
                 assert page.moved_to is not None
                 return HttpResponse(url=url, status=301, location=page.moved_to)
-        return self._missing(url, nonce, at)
-
-    def _missing(self, url: str, nonce: int, at: SimTime) -> HttpResponse:
         policy = self.missing_policy_at(at)
         if policy is MissingPagePolicy.HARD_404:
-            return HttpResponse(
-                url=url, status=404, body=self._content.error_page(nonce).body
-            )
+            return generated(404, "error")
         if policy is MissingPagePolicy.SOFT_404:
-            return HttpResponse(
-                url=url, status=200, body=self._content.error_page(nonce).body
-            )
+            return generated(200, "error")
         if policy is MissingPagePolicy.REDIRECT_HOME:
             return HttpResponse(url=url, status=302, location=self.root_url)
         if policy is MissingPagePolicy.REDIRECT_LOGIN:

@@ -10,22 +10,12 @@ internals, which keeps the measurement honest.
 
 from __future__ import annotations
 
-import hashlib
-
 from ..clock import SimTime
 from ..errors import NetworkSimError
 from ..net.dns import DnsRecord, DnsTable
 from ..net.fetch import Fetcher, FetchResult
 from ..net.http import HttpRequest, HttpResponse
 from .site import Site
-
-
-def _request_nonce(address: str, request: HttpRequest, at: SimTime) -> int:
-    """A deterministic nonce for one (address, url, day) request."""
-    digest = hashlib.sha256(
-        f"{address}|{request.url}|{int(at.days)}".encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class LiveWeb:
@@ -103,16 +93,18 @@ class LiveWeb:
         """Serve one GET; called by the fetcher after DNS resolution.
 
         The per-response dynamic-noise nonce is derived from the
-        request itself rather than drawn from a shared counter, so a
-        fetch is a pure function of ``(url, at)`` — the property the
-        executor's fetch memo and sharded workers both rely on. Fetches
-        of *different* URLs (or on different days) still get distinct
-        noise tokens, which is all the soft-404 machinery needs.
+        request itself — ``(address, url, day)`` — rather than drawn
+        from a shared counter, so a fetch is a pure function of
+        ``(url, at)``: the property the executor's fetch memo and
+        sharded workers both rely on. Fetches of *different* URLs (or
+        on different days) still get distinct noise tokens, which is
+        all the soft-404 machinery needs. The nonce is hashed only when
+        a generated body is read (see :class:`~repro.web.site.PageBody`).
         """
         site = self._sites.get(address)
         if site is None:
             raise NetworkSimError(f"DNS points at unknown address {address!r}")
-        return site.respond(request, at, _request_nonce(address, request, at))
+        return site.respond(request, at, address)
 
     # -- convenience -----------------------------------------------------------------------
 

@@ -18,8 +18,11 @@ from repro.archive.crawler import (
 from repro.archive.snapshot import Snapshot
 from repro.archive.store import SnapshotStore
 from repro.clock import SimTime
+from repro.dataset.worldgen import WorldConfig, generate_world
 from repro.errors import ArchiveTimeout
 from repro.rng import Stream
+from repro.textsim.content import ContentGenerator
+from test_worldgen_internals import WORLD_GOLDENS
 
 T2008 = SimTime.from_ymd(2008, 1, 1)
 T2010 = SimTime.from_ymd(2010, 1, 1)
@@ -460,6 +463,82 @@ class TestDeferredSketches:
         for url in urls:
             sketcher.sketch(micro_web.fetcher().fetch(url, T2010).body)
         assert sketcher.misses == len(stems)
+
+
+#: ``BodySketcher.misses`` once every sketch of a toy world has been
+#: read, recorded when captures still keyed their cells by body text:
+#: one MinHash per distinct core text.
+SKETCH_MISSES = {(160, 11): 770, (240, 2022): 519}
+
+#: Page renders while generating each toy world. All of them are
+#: robots.txt fetches of parked sites, whose lander is served at every
+#: path; a capture never renders the page it captures.
+ROBOTS_RENDERS = {(160, 11): 10, (240, 2022): 0}
+
+
+@pytest.fixture(scope="module", params=sorted(WORLD_GOLDENS))
+def toy_world(request):
+    """A golden toy world, with the renders its generation made."""
+    renders = {"robots": 0, "other": 0}
+    in_robots = []
+    real_render = ContentGenerator.render
+    real_robots_allow = ArchiveCrawler._robots_allow
+
+    def render(self, core, nonce):
+        renders["robots" if in_robots else "other"] += 1
+        return real_render(self, core, nonce)
+
+    def robots_allow(self, parsed, at):
+        in_robots.append(parsed)
+        try:
+            return real_robots_allow(self, parsed, at)
+        finally:
+            in_robots.pop()
+
+    n_links, seed = request.param
+    patch = pytest.MonkeyPatch()
+    patch.setattr(ContentGenerator, "render", render)
+    patch.setattr(ArchiveCrawler, "_robots_allow", robots_allow)
+    try:
+        world = generate_world(
+            WorldConfig(n_links=n_links, target_sample=n_links, seed=seed)
+        )
+    finally:
+        patch.undo()
+    return request.param, world, renders
+
+
+class TestContentIdCells:
+    """Captures key sketch cells by content id and never render."""
+
+    def test_only_robots_fetches_render(self, toy_world):
+        key, _, renders = toy_world
+        assert renders == {"robots": ROBOTS_RENDERS[key], "other": 0}
+
+    def test_cells_partition_snapshots_as_stem_text_does(self, toy_world):
+        _, world, _ = toy_world
+        fetcher = world.web.fetcher()
+        stems_of_cell: dict[int, set[str]] = {}
+        cells_of_stem: dict[str, set[int]] = {}
+        for url in world.store.all_urls():
+            for row in world.store.snapshots(url):
+                body = fetcher.fetch(url, row.captured_at).body
+                stem = body.rsplit(" ", 1)[0] if " " in body else body
+                cell = row._sketch
+                assert cell.stem == stem
+                stems_of_cell.setdefault(id(cell), set()).add(stem)
+                cells_of_stem.setdefault(stem, set()).add(id(cell))
+        assert all(len(stems) == 1 for stems in stems_of_cell.values())
+        assert all(len(cells) == 1 for cells in cells_of_stem.values())
+        assert any(isinstance(k, tuple) for k in world.crawler._sketcher._cells)
+
+    def test_misses_match_text_keyed_cells(self, toy_world):
+        key, world, _ = toy_world
+        store = world.store
+        for url in store.all_urls():
+            for row in store.snapshots(url, include_failed=True):
+                assert row.sketch is not None
+        assert world.crawler._sketcher.misses == SKETCH_MISSES[key]
 
 
 class TestOrganicCrawlPlanner:

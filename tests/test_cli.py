@@ -187,6 +187,14 @@ class TestCli:
             ("live", "--shards", "0"),
             ("live", "--generations", "0"),
             ("generations", "--url", INDEXED_URL, "--last", "0"),
+            ("study", "--links", "0"),
+            ("serve", "--requests", "-5"),
+            ("serve", "--rps", "0"),
+            ("serve", "--offered", "-2"),
+            ("live", "--interval-days", "0"),
+            ("live", "--reprobe-days", "inf"),
+            ("live", "--requests", "-1"),
+            ("query", "--bucket-counts", "--shards", "-3"),
         ],
         ids=" ".join,
     )
@@ -199,6 +207,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert "generating world" not in captured.out
         assert argv[-2] in captured.err.strip().splitlines()[-1]
+
+    def test_live_requests_zero_skips_the_replay(self, monkeypatch):
+        import repro.__main__ as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_live", lambda args: seen.append(args) or 0)
+        assert main(["live", *WORLD, "--requests", "0"]) == 0
+        assert seen[0].requests == 0
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

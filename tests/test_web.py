@@ -1,11 +1,17 @@
 """Tests for repro.web — pages, behaviours, sites, the live web."""
 
+import hashlib
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clock import SimTime
 from repro.errors import ConnectionTimeout, NetworkSimError
-from repro.net.http import HttpRequest
+from repro.net.http import HttpRequest, HttpResponse
 from repro.net.status import Outcome
+from repro.textsim.content import PAGE_KINDS, ContentGenerator
 from repro.textsim.shingles import shingle_similarity
 from repro.web.behaviors import (
     GeoPolicy,
@@ -151,7 +157,9 @@ class TestSiteState:
 
 
 def _get(site: Site, url: str, at: SimTime, nonce: int = 1):
-    return site.respond(HttpRequest.get(url), at, nonce)
+    # The resolved address seeds a generated page's noise token, so each
+    # nonce stands for its own address.
+    return site.respond(HttpRequest.get(url), at, f"site:{nonce}")
 
 
 class TestSiteResponses:
@@ -350,3 +358,139 @@ class TestLiveWeb:
     def test_site_by_hostname(self, micro_web):
         assert micro_web.site_by_hostname("news.example.com") is not None
         assert micro_web.site_by_hostname("unknown.example.com") is None
+
+
+def _eager_nonce(address: str, request: HttpRequest, at: SimTime) -> int:
+    """The per-request nonce, spelled as the eager web hashed it."""
+    digest = hashlib.sha256(
+        f"{address}|{request.url}|{int(at.days)}".encode("utf-8")
+    ).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def _eager_body(content: ContentGenerator, kind: str, path: str, nonce: int) -> str:
+    """The body the eager web built for one page of ``kind``."""
+    if kind == "article":
+        return content.article(path, nonce).body
+    render = {
+        "homepage": content.homepage,
+        "error": content.error_page,
+        "parked": content.parked_page,
+        "login": content.login_page,
+    }[kind]
+    return render(nonce).body
+
+
+def _assert_same_response(lazy: HttpResponse, eager: HttpResponse) -> None:
+    # hash, repr and describe first: each must render the lazy body.
+    assert hash(lazy) == hash(eager)
+    assert repr(lazy) == repr(eager)
+    assert lazy.describe() == eager.describe()
+    assert lazy == eager and eager == lazy
+    copy = pickle.loads(pickle.dumps(lazy))
+    assert copy == eager and copy.content_id is None
+
+
+_SEEDS = st.text(alphabet="abcdef0123456789", min_size=1, max_size=12)
+_SEGMENT = st.text(alphabet="abcxyz09-", min_size=1, max_size=8)
+_QUERY = st.lists(
+    st.tuples(st.sampled_from("abcdefg"), st.integers(0, 99)),
+    max_size=4,
+    unique_by=lambda pair: pair[0],
+)
+_ADDRESSES = st.sampled_from(("site:s.example.org", "parked:s.example.org", "x"))
+
+
+class TestLazyBodies:
+    """A lazy body renders the eager body's exact bytes, on first read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_SEEDS,
+        segments=st.lists(_SEGMENT, min_size=1, max_size=3),
+        query=_QUERY,
+        order=st.randoms(use_true_random=False),
+        address=_ADDRESSES,
+        day=st.floats(3_000.0, 8_000.0),
+    )
+    def test_site_serves_eager_bytes_for_every_kind(
+        self, seed, segments, query, order, address, day
+    ):
+        path = "/" + "/".join(segments)
+        canonical = path + (
+            "?" + "&".join(f"{k}={v}" for k, v in sorted(query)) if query else ""
+        )
+        reordered = list(query)
+        order.shuffle(reordered)
+        requested = path + (
+            "?" + "&".join(f"{k}={v}" for k, v in reordered) if reordered else ""
+        )
+        at = SimTime(day)
+        site = Site(hostname="s.example.org", seed=seed, created_at=T2005)
+        site.add_page(Page(path_query=canonical, created_at=T2005))
+        parked = Site(
+            hostname="s.example.org",
+            seed=seed,
+            created_at=T2005,
+            state=SiteState(parked_from=T2005),
+        )
+        cases = (
+            (site, requested, "article", canonical, 200),
+            (site, "/", "homepage", "", 200),
+            (site, "/nowhere.html", "error", "", 404),
+            (site, "/login", "login", "", 200),
+            (parked, requested, "parked", "", 200),
+        )
+        assert {case[2] for case in cases} == set(PAGE_KINDS)
+        for server, path_query, kind, content_path, status in cases:
+            request = HttpRequest.get(f"http://s.example.org{path_query}")
+            lazy = server.respond(request, at, address)
+            assert lazy.status == status
+            assert lazy.content_id == (seed, kind, content_path)
+            nonce = _eager_nonce(address, request, at)
+            eager = HttpResponse(
+                url=str(request.url),
+                status=status,
+                body=_eager_body(ContentGenerator(seed), kind, content_path, nonce),
+            )
+            _assert_same_response(lazy, eager)
+
+    def test_literal_bodies_stay_strings(self):
+        site = Site(
+            hostname="s.example.org",
+            seed="lit",
+            created_at=T2005,
+            missing_policy=MissingPagePolicy.REDIRECT_HOME,
+            state=SiteState(outages=(OutageWindow(start=T2016, end=T2022),)),
+        )
+        for url, at in (
+            ("http://s.example.org/robots.txt", T2010),
+            ("http://s.example.org/gone", T2010),
+            ("http://s.example.org/", T2020),
+        ):
+            response = _get(site, url, at)
+            assert response.content_id is None
+            assert isinstance(response.body, str)
+
+    def test_body_renders_once_and_only_on_read(self, monkeypatch):
+        renders = []
+        real = ContentGenerator.render
+
+        def counting(self, core, nonce):
+            renders.append(core)
+            return real(self, core, nonce)
+
+        monkeypatch.setattr(ContentGenerator, "render", counting)
+        site = Site(hostname="s.example.org", seed="once", created_at=T2005)
+        site.add_page(Page(path_query="/a.html", created_at=T2005))
+        response = _get(site, "http://s.example.org/a.html", T2010)
+        assert response.status == 200 and renders == []
+        first = response.body
+        assert response.body is first and len(renders) == 1
+
+    def test_responses_are_immutable(self):
+        response = HttpResponse(url="u", status=200, body="x")
+        with pytest.raises(AttributeError):
+            response.status = 404
+        with pytest.raises(AttributeError):
+            response.body = "y"
